@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .search import automorphism_group
 from .system import (
-    PartialTripleSystem,
     PointSet,
     TripleSystem,
     is_subsystem,
@@ -133,9 +132,6 @@ def double(y: TripleSystem) -> TripleSystem:
         triples.append((a + k, b, c + k))
         triples.append((a, b + k, c + k))
     return TripleSystem.from_triples(2 * k + 1, triples)
-
-
-DOUBLE_STAR = lambda y: 2 * y.n  # index of * in double(y)  # noqa: E731
 
 
 def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
@@ -559,13 +555,10 @@ def moore_variant_sigma(inp: MooreInput, sigma) -> TripleSystem:
 def lift_v_automorphism(inp: MooreInput, g) -> tuple:
     """Extend g in Aut V to the product: identity on X, (v, a) -> (g(v), a)."""
     g = tuple(g)
-    n = inp.u_size
-    nx = len(inp.x_points)
-    out = list(range(n))
+    out = list(range(inp.u_size))
     for v in range(inp.v.n):
         for a in range(inp.m):
             out[inp.u_point(v, a)] = inp.u_point(g[v], a)
-    del nx
     return tuple(out)
 
 

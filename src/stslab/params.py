@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .system import VerificationError
+
 ADMISSIBLE_DELTAS = (1, 3, 7, 9, 13, 15, 19, 21)  # residues = 1, 3 mod 6 below 24
 
 
@@ -100,8 +102,8 @@ def choose_K(v1: int, v2: int, strategy: str = "smallest") -> tuple:
     else:
         raise ParameterError(f"unknown strategy {strategy!r}")
     K = (1 << k) - 1
-    assert K % 24 == 7
-    assert math.gcd(K, v1 - 1) == 1 and math.gcd(K, v2 - 1) == 1
+    if K % 24 != 7 or math.gcd(K, v1 - 1) != 1 or math.gcd(K, v2 - 1) != 1:
+        raise VerificationError(f"K = 2^{k} - 1 fails K = 7 (mod 24) or coprimality")
     return k, K
 
 

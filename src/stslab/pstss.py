@@ -18,12 +18,19 @@ from .system import (
     PartialTripleSystem,
     PointSet,
     TripleSystem,
+    VerificationError,
     validate_pstss,
 )
 
 
 class PstssError(ValueError):
     pass
+
+
+def _check_pstss(system) -> None:
+    report = validate_pstss(system)
+    if not report.ok:
+        raise VerificationError("; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +136,7 @@ def build_qr(r: int) -> GadgetQ:
     extra = tuple(sorted((2, zp, p2(2))))
     triples = c1 + c2 + [extra]
     system = PartialTripleSystem.from_triples(4 * r + 10, triples)
-    report = validate_pstss(system)
-    assert report.ok, report.violations
+    _check_pstss(system)
     return GadgetQ(
         r=r,
         system=system,
@@ -185,8 +191,7 @@ def _attach(v, rs: list) -> AttachedSystem:
             triples.append(tuple(sorted(relabel[x] for x in t)))
         gadget_points.append(tuple(relabel[local] for local in range(q.n)))
     system = PartialTripleSystem.from_triples(next_free, triples)
-    report = validate_pstss(system)
-    assert report.ok, report.violations
+    _check_pstss(system)
     return AttachedSystem(
         system=system, base_n=n, gadget_of=tuple(gadget_points), gadget_r=tuple(rs)
     )
@@ -197,7 +202,8 @@ def attach_gadgets(v) -> AttachedSystem:
     if v.n < 1:
         raise PstssError("need at least one point")
     out = _attach(v, [v.n] * v.n)
-    assert out.system.n == 4 * v.n * v.n + 10 * v.n
+    if out.system.n != 4 * v.n * v.n + 10 * v.n:
+        raise VerificationError(f"attached system has {out.system.n} points")
     return out
 
 
@@ -297,7 +303,8 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
     if removed:
         rem_codes = _triple_codes(np.array(removed, dtype=np.int64), n)
         keep = ~np.isin(_triple_codes(base, n), rem_codes)
-        assert int((~keep).sum()) == len(removed), "a removed triple was absent"
+        if int((~keep).sum()) != len(removed):
+            raise VerificationError("a removed triple was absent")
         base = base[keep]
         base = np.concatenate([base, np.array(added, dtype=np.int32)])
     system = TripleSystem(n, base)

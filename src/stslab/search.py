@@ -1,20 +1,41 @@
 """Exact automorphism / isomorphism engine for (partial) triple systems.
 
-Backtracking over individualization-refinement.  The refinement invariant
-colors each point by the multiset of color pairs it sees through its
-triples, iterated to a fixpoint; individualized points carry their sequence
-rank so refined colors are relabeling-invariant.  Everything here is exact:
+One individualization-refinement search answers every question.  The
+refinement invariant colors each point by the multiset of color pairs it
+sees through its triples, iterated to a fixpoint; individualized points
+carry their sequence rank so refined colors are relabeling-invariant.  A
+depth-first search individualizes points of the smallest non-singleton cell
+until the coloring is discrete.  Each leaf is a labeling; its key is the
+relabeled sorted triple list, and the leaf with the smallest key gives the
+canonical form and the canonical labeling.  Everything here is exact:
 refinement only prunes, it never decides.
+
+Two leaves with equal keys differ by an automorphism, and the search keeps
+every such automorphism.  These generate the whole group (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+Follow the path to the final best leaf, with prefixes s_0, s_1, ..., and
+let G_k be the automorphisms fixing s_k pointwise.  At level k, no child
+before the path's child b_k lies in the G_k-orbit of b_k: its subtree would
+hold a leaf with the best key, visited before the best leaf, which then
+could not have replaced it (only a strictly smaller key does).  Every
+child after b_k in that orbit either is searched, and meets an equal-key
+leaf whose automorphism fixes s_k and maps it to b_k, or is pruned as the
+image of a searched child under automorphisms already found that fix s_k.
+So the automorphisms found that fix s_k reach the whole G_k-orbit of b_k.
+By induction from the discrete leaf (G trivial) upwards, with
+|G_k| = |orbit of b_k| * |G_{k+1}|, they generate G_k at every level, and
+G_0 = Aut.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import perm as pm
 from .perm import PermutationGroup
-from .system import PartialTripleSystem, TripleSystem
+from .system import VerificationError
 
 DEFAULT_NODE_BUDGET = 10**8
 BUDGET_ENV_VAR = "STSLAB_NODE_BUDGET"
@@ -33,8 +54,7 @@ def node_budget(override: int | None = None) -> int:
 class _SearchData:
     """Preprocessed incidence structure for one system."""
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, system, budget: int | None = None):
         self.n = system.n
         self.triples = list(system.iter_triples())
         self.triple_set = set(self.triples)
@@ -44,9 +64,8 @@ class _SearchData:
             inc[b].append((a, c))
             inc[c].append((a, b))
         self.inc = inc
-        self._refine_cache: dict = {}
         self.nodes = 0
-        self.budget = DEFAULT_NODE_BUDGET
+        self.budget = node_budget(budget)
 
     def charge(self) -> None:
         self.nodes += 1
@@ -58,9 +77,6 @@ class _SearchData:
 
     def refine(self, marked: tuple) -> tuple:
         """Equitable coloring with the points of `marked` individualized."""
-        cached = self._refine_cache.get(marked)
-        if cached is not None:
-            return cached
         self.charge()
         n = self.n
         mrank = {p: i for i, p in enumerate(marked)}
@@ -80,9 +96,7 @@ class _SearchData:
             if len(distinct) == n_classes:
                 break
             n_classes = len(distinct)
-        result = tuple(colors)
-        self._refine_cache[marked] = result
-        return result
+        return tuple(colors)
 
 
 def _cells(colors: tuple) -> dict:
@@ -104,75 +118,12 @@ def _target_color(colors: tuple):
     return None if best is None else best[1]
 
 
-def _histogram(colors: tuple) -> tuple:
-    return tuple(sorted((c, colors.count(c)) for c in set(colors)))
-
-
-def _leaf_permutation(colors: tuple) -> tuple:
-    """Discrete coloring -> permutation sending point p to rank colors[p]."""
-    return tuple(colors)
-
-
-def _maps_triples(data_a: _SearchData, data_b: _SearchData, mapping: tuple) -> bool:
-    for a, b, c in data_a.triples:
-        img = (mapping[a], mapping[b], mapping[c])
-        im = tuple(sorted(img))
-        if im not in data_b.triple_set:
+def _maps_into(triples, target: set, p) -> bool:
+    """True iff p sends every sorted triple of `triples` to a member of `target`."""
+    for a, b, c in triples:
+        if tuple(sorted((p[a], p[b], p[c]))) not in target:
             return False
     return True
-
-
-def _find_map(data_a, data_b, marked_a: tuple, marked_b: tuple):
-    """An isomorphism data_a -> data_b extending marked_a -> marked_b, or None."""
-    ca = data_a.refine(marked_a)
-    cb = data_b.refine(marked_b)
-    if _histogram(ca) != _histogram(cb):
-        return None
-    target = _target_color(ca)
-    if target is None:
-        # discrete on both sides: colors define the candidate bijection
-        rank_b = {c: p for p, c in enumerate(cb)}
-        mapping = tuple(rank_b[c] for c in ca)
-        if _maps_triples(data_a, data_b, mapping):
-            return mapping
-        return None
-    a = min(p for p, c in enumerate(ca) if c == target)
-    for b in (p for p, c in enumerate(cb) if c == target):
-        found = _find_map(data_a, data_b, marked_a + (a,), marked_b + (b,))
-        if found is not None:
-            return found
-    return None
-
-
-def _aut_group(data: _SearchData, marked: tuple) -> PermutationGroup:
-    """Automorphisms fixing `marked` pointwise, by orbit-stabilizer recursion."""
-    colors = data.refine(marked)
-    target = _target_color(colors)
-    if target is None:
-        return PermutationGroup.trivial(data.n)
-    cell = [p for p, c in enumerate(colors) if c == target]
-    base = cell[0]
-    stab = _aut_group(data, marked + (base,))
-    group = PermutationGroup.from_generators(data.n, stab.generators)
-    for cand in cell[1:]:
-        if cand in pm.orbit_of(base, group.generators):
-            continue
-        g = _find_map(data, data, marked + (base,), marked + (cand,))
-        if g is not None:
-            group.extend(g)
-    orbit = pm.orbit_of(base, group.generators)
-    assert group.order == stab.order * len(orbit), "orbit-stabilizer mismatch"
-    return group
-
-
-def automorphism_group(system, budget: int | None = None) -> PermutationGroup:
-    """Exact automorphism group of a (partial) triple system."""
-    data = _SearchData(system)
-    data.budget = node_budget(budget)
-    group = _aut_group(data, ())
-    for g in group.generators:
-        assert is_automorphism(system, g)
-    return group
 
 
 def is_automorphism(system, p) -> bool:
@@ -181,10 +132,7 @@ def is_automorphism(system, p) -> bool:
     if len(p) != system.n or not pm.is_permutation(p):
         return False
     triples = set(system.iter_triples())
-    for a, b, c in triples:
-        if tuple(sorted((p[a], p[b], p[c]))) not in triples:
-            return False
-    return True
+    return _maps_into(triples, triples, p)
 
 
 class _CanonState:
@@ -220,8 +168,9 @@ def _canon_dfs(data: _SearchData, seq: tuple, state: _CanonState) -> int:
             # automorphism fixing the common prefix of the two sequences
             inv_best = pm.inverse(state.best_colors)
             g = tuple(inv_best[colors[p]] for p in range(data.n))
-            if g != pm.identity(data.n) and is_automorphism(data.system, g):
-                state.auts.append(g)
+            if not _maps_into(data.triples, data.triple_set, g):
+                raise VerificationError("equal-key leaves gave a non-automorphism")
+            state.auts.append(g)
             common = 0
             while (
                 common < len(seq)
@@ -245,21 +194,30 @@ def _canon_dfs(data: _SearchData, seq: tuple, state: _CanonState) -> int:
     return depth
 
 
-def canonical_form(system, budget: int | None = None) -> tuple:
-    """Relabeling-invariant triple list; equal forms iff isomorphic systems."""
-    key, _ = _canonical_labeling(system, budget)
-    return key
+class _Canon(NamedTuple):
+    form: tuple  # (n, sorted triples under the canonical labeling)
+    labeling: tuple  # point -> canonical index
+    automorphisms: list  # generate Aut (see the module docstring)
+    data: _SearchData
 
 
-def _canonical_labeling(system, budget: int | None = None) -> tuple:
-    data = _SearchData(system)
-    data.budget = node_budget(budget)
-    if system.n == 0 or not data.triples:
-        return (system.n, ()), tuple(range(system.n))
+def _canonical_labeling(system, budget: int | None = None) -> _Canon:
+    """The one search: canonical form, canonical labeling and automorphisms."""
+    data = _SearchData(system, budget)
     state = _CanonState()
     _canon_dfs(data, (), state)
-    labeling = state.best_colors  # point -> canonical index
-    return (system.n, state.best_key), labeling
+    return _Canon((system.n, state.best_key), state.best_colors, state.auts, data)
+
+
+def automorphism_group(system, budget: int | None = None) -> PermutationGroup:
+    """Exact automorphism group of a (partial) triple system."""
+    auts = _canonical_labeling(system, budget).automorphisms
+    return PermutationGroup.from_generators(system.n, auts)
+
+
+def canonical_form(system, budget: int | None = None) -> tuple:
+    """Relabeling-invariant triple list; equal forms iff isomorphic systems."""
+    return _canonical_labeling(system, budget).form
 
 
 @dataclass(frozen=True)
@@ -276,12 +234,12 @@ def are_isomorphic(a, b, budget: int | None = None) -> IsoCertificate:
     """Decide isomorphism; a returned map is verified triple-to-triple."""
     if type(a) is not type(b) or a.n != b.n or a.n_triples != b.n_triples:
         return IsoCertificate(False, canonical_a=(a.n, None), canonical_b=(b.n, None))
-    form_a, lab_a = _canonical_labeling(a, budget)
-    form_b, lab_b = _canonical_labeling(b, budget)
-    if form_a != form_b:
-        return IsoCertificate(False, canonical_a=form_a, canonical_b=form_b)
-    inv_b = pm.inverse(lab_b)
-    mapping = tuple(inv_b[lab_a[p]] for p in range(a.n))
-    data_a, data_b = _SearchData(a), _SearchData(b)
-    assert _maps_triples(data_a, data_b, mapping), "canonical labelings disagree"
-    return IsoCertificate(True, mapping=mapping, canonical_a=form_a, canonical_b=form_b)
+    ca = _canonical_labeling(a, budget)
+    cb = _canonical_labeling(b, budget)
+    if ca.form != cb.form:
+        return IsoCertificate(False, canonical_a=ca.form, canonical_b=cb.form)
+    inv_b = pm.inverse(cb.labeling)
+    mapping = tuple(inv_b[label] for label in ca.labeling)
+    if not _maps_into(ca.data.triples, cb.data.triple_set, mapping):
+        raise VerificationError("canonical labelings disagree")
+    return IsoCertificate(True, mapping=mapping, canonical_a=ca.form, canonical_b=cb.form)

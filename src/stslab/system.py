@@ -7,7 +7,7 @@ order, so two systems with the same triples compare equal bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,9 +30,21 @@ def _normalize(n: int, triples) -> np.ndarray:
     return arr
 
 
+class VerificationError(RuntimeError):
+    """A computed result failed the independent check made before returning it."""
+
+
+@dataclass(eq=False)
 class _SystemBase:
     n: int
     triples: np.ndarray
+
+    def __post_init__(self):
+        self.triples = _normalize(self.n, self.triples)
+
+    @classmethod
+    def from_triples(cls, n: int, triples: Iterable):
+        return cls(n, list(triples))
 
     def __len__(self) -> int:
         return self.n
@@ -84,30 +96,10 @@ class _SystemBase:
 class TripleSystem(_SystemBase):
     """A Steiner triple system: every pair of points in exactly one triple."""
 
-    n: int
-    triples: np.ndarray
-
-    def __post_init__(self):
-        self.triples = _normalize(self.n, self.triples)
-
-    @classmethod
-    def from_triples(cls, n: int, triples: Iterable) -> "TripleSystem":
-        return cls(n, list(triples))
-
 
 @dataclass(eq=False)
 class PartialTripleSystem(_SystemBase):
     """A partial system: every pair of points in at most one triple."""
-
-    n: int
-    triples: np.ndarray
-
-    def __post_init__(self):
-        self.triples = _normalize(self.n, self.triples)
-
-    @classmethod
-    def from_triples(cls, n: int, triples: Iterable) -> "PartialTripleSystem":
-        return cls(n, list(triples))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Core data model: validation, closure, file I/O, and the exact engine."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from stslab import (
     FormatError,
     PartialTripleSystem,
     TripleSystem,
+    VerificationError,
     are_isomorphic,
     automorphism_group,
     base_sts,
@@ -238,6 +241,38 @@ def test_iso_certificate_verified_mapping():
 def test_iso_size_mismatch():
     cert = are_isomorphic(FANO, bose(9))
     assert not cert.isomorphic
+
+
+def test_iso_wrong_labeling_raises_verification_error(monkeypatch):
+    from stslab import search
+
+    other = _relabel(FANO, [3, 0, 6, 1, 5, 2, 4])
+    real = search._canonical_labeling
+
+    def swap_two_labels(system, budget=None):
+        result = real(system, budget)
+        if system is not other:
+            return result
+        # no transposition is an automorphism of the Fano plane
+        lab = [{0: 1, 1: 0}.get(label, label) for label in result.labeling]
+        return result._replace(labeling=tuple(lab))
+
+    monkeypatch.setattr(search, "_canonical_labeling", swap_two_labels)
+    with pytest.raises(VerificationError):
+        are_isomorphic(FANO, other)
+
+
+def test_no_assert_statements_in_library():
+    """Runtime checks raise typed errors; `python -O` strips assert."""
+    src = Path(__file__).resolve().parents[1] / "src" / "stslab"
+    paths = sorted(src.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert paths and not found, found
 
 
 @settings(max_examples=25, deadline=None)
