@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .search import automorphism_group
 from .system import (
     PointSet,
     TripleSystem,
+    VerificationError,
     is_subsystem,
+    restrict,
     span,
     validate_sts,
 )
@@ -167,33 +170,28 @@ def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
 # Pointedness / pairing predicates
 
 
-def _fano_through(ts, triple_a, triple_b):
-    closure = span(ts, set(triple_a) | set(triple_b), cap=7)
-    return closure if len(closure) == 7 else None
+def _spans_fano(ts, p: int, pair_a, pair_b) -> bool:
+    """The triples {p} + pair_a and {p} + pair_b generate 7 points."""
+    return len(span(ts, {p, *pair_a, *pair_b}, cap=7)) == 7
 
 
 def is_pg2_pointed(ts: TripleSystem, p: int, explain: bool = False):
     """Any two triples through p generate a 7-point subsystem."""
-    through = [t for t in ts.iter_triples() if p in t]
-    for i in range(len(through)):
-        for j in range(i + 1, len(through)):
-            if _fano_through(ts, through[i], through[j]) is None:
-                return (False, (through[i], through[j])) if explain else False
+    for pair_a, pair_b in combinations(ts.incidence.pairs[p], 2):
+        if not _spans_fano(ts, p, pair_a, pair_b):
+            witness = tuple(tuple(sorted((p, *pair))) for pair in (pair_a, pair_b))
+            return (False, witness) if explain else False
     return (True, None) if explain else True
 
 
 def _is_projective_15(ts, points) -> bool:
     """A closed 15-set is PG(3,2) iff every two meeting lines span 7 points."""
-    from .system import restrict
-
     sub, _ = restrict(ts, points)
-    by_point = sub.point_triples()
-    for pts in by_point:
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _fano_through(sub, pts[i], pts[j]) is None:
-                    return False
-    return True
+    return all(
+        _spans_fano(sub, p, pair_a, pair_b)
+        for p, spokes in enumerate(sub.incidence.pairs)
+        for pair_a, pair_b in combinations(spokes, 2)
+    )
 
 
 def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
@@ -222,7 +220,7 @@ def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
 
 def is_pg2_paired(ts: TripleSystem, explain: bool = False):
     """Any two points lie in at least two 7-point subsystems."""
-    third = ts.pair_third()
+    third = ts.incidence.third
     for a in range(ts.n):
         for b in range(a + 1, ts.n):
             c = third[(a, b)]
@@ -287,32 +285,18 @@ class CyclicLabeling:
             problems.append(f"y_star = {self.y_star} does not generate Z_{self.m}")
         if self.p7a_strict and not _p7a_holds(self.m):
             problems.append("strict generator condition flagged but violated")
-        triples = y.triple_set()
-        if self.p7b_anchor:
-            anchor = tuple(
-                sorted(
-                    (
-                        self.point_of[0],
-                        self.point_of[self.m // 2],
-                        self.point_of[self.y_star],
-                    )
-                )
-            )
-            if anchor not in triples:
-                problems.append("anchor triple {1, -1, y_star} is not a triple of Y")
+        third = y.incidence.third
+        m = self.m
+
+        def is_anchor_triple(w):  # {w, w + m/2, y_star} is a triple of Y
+            a, b = sorted((self.point_of[w], self.point_of[(w + m // 2) % m]))
+            return third.get((a, b)) == self.point_of[self.y_star]
+
+        if self.p7b_anchor and not is_anchor_triple(0):
+            problems.append("anchor triple {1, -1, y_star} is not a triple of Y")
         if self.p7c_anchor:
-            m = self.m
             for w in (m // 3, 2 * m // 3):
-                t = tuple(
-                    sorted(
-                        (
-                            self.point_of[w],
-                            self.point_of[(w + m // 2) % m],
-                            self.point_of[self.y_star],
-                        )
-                    )
-                )
-                if t not in triples:
+                if not is_anchor_triple(w):
                     problems.append(f"anchor triple for order-3 element {w} missing")
         return problems
 
@@ -357,15 +341,6 @@ def label_per_p7(
     if strict and not p7a:
         raise LabelingError(f"no generator of Z_{m} satisfies the P7(a) condition")
 
-    comp_set = set(comp)
-    inner = [
-        t for t in y.iter_triples() if all(p in comp_set for p in t)
-    ]
-    by_point: dict = {}
-    for t in inner:
-        for p in t:
-            by_point.setdefault(p, []).append(t)
-
     units = [g for g in range(1, m) if math.gcd(g, m) == 1]
     want_c = m % 3 == 0 and m >= 6
     omega_residues = (
@@ -383,17 +358,18 @@ def label_per_p7(
     assignment = None  # residue -> point, partial
     y_star = gen_candidates[0]
     flags = (False, False)
-    for r in sorted(by_point):
-        cands = by_point[r]
+    comp_set = set(comp)
+    for r in comp:
+        # the pairs completing the triples through r inside Y - X
+        cands = [(q, s) for q, s in y.incidence.pairs[r] if q in comp_set and s in comp_set]
+        if not cands:
+            continue
         g = gen_candidates[0]
         base = {g: r}
-        others = sorted(set(cands[0]) - {r})
-        base[0], base[m // 2] = others[0], others[1]
+        base[0], base[m // 2] = cands[0]
         if want_c and len(cands) >= 3 and g not in omega_residues:
-            o2 = sorted(set(cands[1]) - {r})
-            o3 = sorted(set(cands[2]) - {r})
-            base[m // 3], base[m // 3 + m // 2] = o2[0], o2[1]
-            base[2 * m // 3], base[(2 * m // 3 + m // 2) % m] = o3[0], o3[1]
+            base[m // 3], base[m // 3 + m // 2] = cands[1]
+            base[2 * m // 3], base[(2 * m // 3 + m // 2) % m] = cands[2]
             assignment, y_star, flags = base, g, (True, True)
             break
         if assignment is None:
@@ -512,7 +488,7 @@ def _moore_triples(inp: MooreInput, residue_map=None):
                     (inp.u_point(v, a1), inp.u_point(v, a2), inp.u_point(v, a3))
                 )
         else:  # X closed: a triple cannot meet X in exactly two points
-            raise AssertionError("closed subsystem violated")
+            raise VerificationError("closed subsystem violated")
     # (M3) product triples: labels multiplying to the identity
     for v1, v2, v3 in inp.v.iter_triples():
         for a1 in range(m):
@@ -676,10 +652,11 @@ def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
         return 1 + (cls_ - 1) * w + b
 
     anchor = 0  # point of s mapped onto the new point
-    through = sorted(t for t in s.iter_triples() if anchor in t)
-    if len(through) != k:
-        raise AssertionError("anchor point degree mismatch")
-    spokes = [tuple(sorted(set(t) - {anchor})) for t in through]
+    spokes = s.incidence.pairs[anchor]
+    if len(spokes) != k:
+        raise ConstructionError(
+            f"point {anchor} of s lies in {len(spokes)} triples, blocks have size {k}"
+        )
 
     triples = set()
     for b in range(w):

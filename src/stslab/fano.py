@@ -27,15 +27,10 @@ def enumerate_fano(ts) -> list:
     that meet in one point, so closing every intersecting triple pair
     finds them all.
     """
-    triples = list(ts.iter_triples())
-    by_point = [[] for _ in range(ts.n)]
-    for i, t in enumerate(triples):
-        for p in t:
-            by_point[p].append(i)
     found = set()
-    for p in range(ts.n):
-        for i, j in combinations(by_point[p], 2):
-            seed = set(triples[i]) | set(triples[j])
+    for p, spokes in enumerate(ts.incidence.pairs):
+        for (q1, r1), (q2, r2) in combinations(spokes, 2):
+            seed = {p, q1, r1, q2, r2}
             if len(seed) != 5:
                 continue  # the two triples share more than one point
             closure = span(ts, seed, cap=7)
@@ -146,23 +141,19 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
     if len(by_v) != 3 or any(len(aa) != 2 for aa in by_v.values()):
         return None
     v_triple = tuple(sorted(by_v))
-    if v_triple not in inp.v.triple_set():
+    if inp.v.incidence.third.get(v_triple[:2]) != v_triple[2]:
         return None
     # each slice must hold a pair {a, a + m/2} (negation by the unique
     # involution) whose Y-triple passes through x
     x_y_point = inp.decode(x_point)  # ambient Y-index of the X point
-    y_triples = inp.y.triple_set()
+    y_third = inp.y.incidence.third
     choices = []
     for v in v_triple:
         a1, a2 = by_v[v]
         if (a1 - a2) % m != m // 2:
             return None
-        t = tuple(
-            sorted(
-                (inp.labeling.point_of[a1], inp.labeling.point_of[a2], x_y_point)
-            )
-        )
-        if t not in y_triples:
+        pair = tuple(sorted((inp.labeling.point_of[a1], inp.labeling.point_of[a2])))
+        if y_third.get(pair) != x_y_point:
             return None
         choices.append((a1, a2))
     # a sign choice with zero sum exists (epsilon_1 epsilon_2 epsilon_3 = 1)

@@ -52,18 +52,11 @@ def node_budget(override: int | None = None) -> int:
 
 
 class _SearchData:
-    """Preprocessed incidence structure for one system."""
+    """One system's incidence plus the node count charged against the budget."""
 
     def __init__(self, system, budget: int | None = None):
         self.n = system.n
-        self.triples = list(system.iter_triples())
-        self.triple_set = set(self.triples)
-        inc = [[] for _ in range(self.n)]
-        for a, b, c in self.triples:
-            inc[a].append((b, c))
-            inc[b].append((a, c))
-            inc[c].append((a, b))
-        self.inc = inc
+        self.inc = system.incidence
         self.nodes = 0
         self.budget = node_budget(budget)
 
@@ -80,6 +73,7 @@ class _SearchData:
         self.charge()
         n = self.n
         mrank = {p: i for i, p in enumerate(marked)}
+        pairs = self.inc.pairs
         colors = [0] * n
         n_classes = 1 if n else 0
         while True:
@@ -87,7 +81,7 @@ class _SearchData:
             for p in range(n):
                 row = sorted(
                     (colors[q], colors[r]) if colors[q] <= colors[r] else (colors[r], colors[q])
-                    for q, r in self.inc[p]
+                    for q, r in pairs[p]
                 )
                 sigs.append((mrank.get(p, n), colors[p], tuple(row)))
             distinct = sorted(set(sigs))
@@ -118,10 +112,12 @@ def _target_color(colors: tuple):
     return None if best is None else best[1]
 
 
-def _maps_into(triples, target: set, p) -> bool:
-    """True iff p sends every sorted triple of `triples` to a member of `target`."""
+def _maps_into(triples, third: dict, p) -> bool:
+    """True iff p sends every triple of `triples` to a triple of the system
+    whose pair-to-third map is `third`."""
     for a, b, c in triples:
-        if tuple(sorted((p[a], p[b], p[c]))) not in target:
+        x, y, z = sorted((p[a], p[b], p[c]))
+        if third.get((x, y)) != z:
             return False
     return True
 
@@ -131,8 +127,8 @@ def is_automorphism(system, p) -> bool:
     p = tuple(p)
     if len(p) != system.n or not pm.is_permutation(p):
         return False
-    triples = set(system.iter_triples())
-    return _maps_into(triples, triples, p)
+    inc = system.incidence
+    return _maps_into(inc.triples, inc.third, p)
 
 
 class _CanonState:
@@ -148,7 +144,7 @@ class _CanonState:
 def _leaf_key(data: _SearchData, colors: tuple) -> tuple:
     lab = colors  # discrete: point p gets label colors[p]
     return tuple(
-        sorted(tuple(sorted((lab[a], lab[b], lab[c]))) for a, b, c in data.triples)
+        sorted(tuple(sorted((lab[a], lab[b], lab[c]))) for a, b, c in data.inc.triples)
     )
 
 
@@ -168,7 +164,7 @@ def _canon_dfs(data: _SearchData, seq: tuple, state: _CanonState) -> int:
             # automorphism fixing the common prefix of the two sequences
             inv_best = pm.inverse(state.best_colors)
             g = tuple(inv_best[colors[p]] for p in range(data.n))
-            if not _maps_into(data.triples, data.triple_set, g):
+            if not _maps_into(data.inc.triples, data.inc.third, g):
                 raise VerificationError("equal-key leaves gave a non-automorphism")
             state.auts.append(g)
             common = 0
@@ -198,7 +194,6 @@ class _Canon(NamedTuple):
     form: tuple  # (n, sorted triples under the canonical labeling)
     labeling: tuple  # point -> canonical index
     automorphisms: list  # generate Aut (see the module docstring)
-    data: _SearchData
 
 
 def _canonical_labeling(system, budget: int | None = None) -> _Canon:
@@ -206,7 +201,7 @@ def _canonical_labeling(system, budget: int | None = None) -> _Canon:
     data = _SearchData(system, budget)
     state = _CanonState()
     _canon_dfs(data, (), state)
-    return _Canon((system.n, state.best_key), state.best_colors, state.auts, data)
+    return _Canon((system.n, state.best_key), state.best_colors, state.auts)
 
 
 def automorphism_group(system, budget: int | None = None) -> PermutationGroup:
@@ -240,6 +235,6 @@ def are_isomorphic(a, b, budget: int | None = None) -> IsoCertificate:
         return IsoCertificate(False, canonical_a=ca.form, canonical_b=cb.form)
     inv_b = pm.inverse(cb.labeling)
     mapping = tuple(inv_b[label] for label in ca.labeling)
-    if not _maps_into(ca.data.triples, cb.data.triple_set, mapping):
+    if not _maps_into(a.incidence.triples, b.incidence.third, mapping):
         raise VerificationError("canonical labelings disagree")
     return IsoCertificate(True, mapping=mapping, canonical_a=ca.form, canonical_b=cb.form)

@@ -8,7 +8,8 @@ order, so two systems with the same triples compare equal bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,8 @@ PointSet = frozenset  # frozenset[int]; subsets of 0..n-1
 
 
 def _normalize(n: int, triples) -> np.ndarray:
+    if n < 0:
+        raise ValueError(f"point count {n} is negative")
     arr = np.asarray(triples, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
@@ -32,6 +35,18 @@ def _normalize(n: int, triples) -> np.ndarray:
 
 class VerificationError(RuntimeError):
     """A computed result failed the independent check made before returning it."""
+
+
+class Incidence(NamedTuple):
+    """Python views of a system's triples, built once per system.
+
+    A sorted triple (a, b, c) is a triple of the system iff
+    third.get((a, b)) == c.
+    """
+
+    triples: tuple  # sorted int 3-tuples, in row order
+    third: dict  # (a, b) with a < b -> third point of the triple on {a, b}
+    pairs: tuple  # per point p: the pairs (q, r), q < r, with {p, q, r} a triple
 
 
 @dataclass(eq=False)
@@ -57,25 +72,29 @@ class _SystemBase:
         for row in self.triples:
             yield (int(row[0]), int(row[1]), int(row[2]))
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The pair and point views every closure and search step reads.
+
+        Built on first use; the array path (construct, validate, write,
+        read) never builds it.
+        """
+        triples = tuple(map(tuple, self.triples.tolist()))
+        third = {}
+        pairs = [[] for _ in range(self.n)]
+        for a, b, c in triples:
+            third[a, b], third[a, c], third[b, c] = c, b, a
+            pairs[a].append((b, c))
+            pairs[b].append((a, c))
+            pairs[c].append((a, b))
+        return Incidence(triples, third, tuple(map(tuple, pairs)))
+
     def triple_set(self) -> set:
-        return set(self.iter_triples())
+        return set(self.incidence.triples)
 
     def pair_third(self) -> dict:
-        """Map each covered pair (a, b) with a < b to the third point."""
-        out = {}
-        for a, b, c in self.iter_triples():
-            out[(a, b)] = c
-            out[(a, c)] = b
-            out[(b, c)] = a
-        return out
-
-    def point_triples(self) -> list:
-        """Per-point list of incident triples."""
-        out = [[] for _ in range(self.n)]
-        for t in self.iter_triples():
-            for p in t:
-                out[p].append(t)
-        return out
+        """Map each covered pair (a, b) with a < b to the third point (a copy)."""
+        return dict(self.incidence.third)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.triples.ravel(), minlength=self.n)
@@ -206,10 +225,7 @@ def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:
     as soon as the closure exceeds cap points; the partial result is still a
     subset of the true closure.
     """
-    third = ts.pair_third() if not hasattr(ts, "_third_cache") else ts._third_cache
-    if not hasattr(ts, "_third_cache"):
-        # cache on the instance: closure sweeps call this heavily
-        object.__setattr__(ts, "_third_cache", third)
+    third = ts.incidence.third
     current = set(seed)
     frontier = list(current)
     while frontier:
@@ -272,7 +288,11 @@ class FormatError(ValueError):
 
 
 def read_system(path):
-    """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem."""
+    """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
+
+    The system is validated against the axioms its header names; a file
+    that breaks them raises FormatError listing every violation found.
+    """
     with open(path) as fh:
         header = fh.readline()
         parts = header.split()
@@ -281,7 +301,9 @@ def read_system(path):
         try:
             n = int(parts[1])
         except ValueError:
-            raise FormatError(path, 1, f"bad point count {parts[1]!r}") from None
+            n = -1
+        if n < 0:
+            raise FormatError(path, 1, f"bad point count {parts[1]!r}")
         triples = []
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -296,5 +318,12 @@ def read_system(path):
             if any(p < 0 or p >= n for p in t):
                 raise FormatError(path, line_no, f"index out of range 0..{n - 1}")
             triples.append(t)
-    cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem
-    return cls.from_triples(n, triples)
+    if parts[0] == "sts":
+        cls, validate = TripleSystem, validate_sts
+    else:
+        cls, validate = PartialTripleSystem, validate_pstss
+    system = cls.from_triples(n, triples)
+    report = validate(system)
+    if not report.ok:
+        raise FormatError(path, 1, "; ".join(report.violations))
+    return system

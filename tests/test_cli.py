@@ -77,6 +77,23 @@ def test_verify_ok_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content,needle",
+    [
+        ("sts 7\n0 1 2\n0 1 3\n", "triple count 2, expected 7"),
+        ("pstss 4\n0 1 2\n0 1 3\n", "pair (0, 1) covered twice"),
+        ("pstss -3\n", "bad point count"),
+    ],
+)
+def test_invalid_file_exits_1(tmp_path, capsys, content, needle):
+    bad = tmp_path / "bad.sts"
+    bad.write_text(content)
+    assert _run("aut", str(bad)) == EXIT_VALIDATION
+    assert needle in capsys.readouterr().err
+    assert _run("verify", str(bad)) == EXIT_VALIDATION
+    assert needle in capsys.readouterr().err
+
+
 def test_aut_and_budget(tmp_path, capsys):
     out = tmp_path / "f.sts"
     _run("construct", "base", "--n", "7", "--output", str(out))

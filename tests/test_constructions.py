@@ -10,6 +10,7 @@ from stslab import (
     ConstructionError,
     LabelingError,
     MooreInput,
+    TripleSystem,
     UnsupportedEmbeddingError,
     automorphism_group,
     base_sts,
@@ -260,6 +261,13 @@ def test_paired_via_design_valid():
     out = paired_via_design(s, BlockDesign.from_sts(base_sts(7)))
     assert out.n == 15
     assert validate_sts(out).ok
+
+
+def test_paired_via_design_anchor_degree_mismatch():
+    with pytest.raises(ConstructionError, match="lies in 1 triples"):
+        paired_via_design(
+            TripleSystem(7, [(0, 1, 2)]), BlockDesign.from_sts(pg_sts(2))
+        )
 
 
 def test_random_sts_valid():

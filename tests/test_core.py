@@ -16,18 +16,22 @@ from stslab import (
     are_isomorphic,
     automorphism_group,
     base_sts,
+    boolean_space,
     bose,
     canonical_form,
+    enumerate_fano,
     is_automorphism,
     is_subsystem,
     pg_sts,
     read_system,
+    replace_triples,
     restrict,
     span,
     validate_pstss,
     validate_sts,
     write_system,
 )
+from stslab.constructions import random_sts
 from stslab.pstss import cyclic_pstss
 
 
@@ -141,6 +145,9 @@ def test_io_pstss_roundtrip(tmp_path):
         ("sts 7\n0 1\n", "three indices"),
         ("sts 7\n0 1 t\n", "non-integer"),
         ("sts 7\n0 1 9\n", "out of range"),
+        ("pstss -3\n", "bad point count"),
+        ("sts 7\n0 1 2\n0 1 3\n", "triple count 2, expected 7"),
+        ("pstss 4\n0 1 2\n0 1 3\n", "pair (0, 1) covered twice"),
     ],
 )
 def test_io_errors(tmp_path, content, needle):
@@ -149,6 +156,79 @@ def test_io_errors(tmp_path, content, needle):
     with pytest.raises(FormatError) as exc:
         read_system(path)
     assert needle in str(exc.value)
+
+
+def test_read_system_lists_every_violation(tmp_path):
+    path = tmp_path / "bad.sts"
+    path.write_text("sts 6\n0 1 2\n")
+    with pytest.raises(FormatError) as exc:
+        read_system(path)
+    violations = validate_sts(TripleSystem(6, [(0, 1, 2)])).violations
+    assert len(violations) == 2
+    assert all(v in str(exc.value) for v in violations)
+
+
+def test_negative_point_count_rejected():
+    with pytest.raises(ValueError):
+        PartialTripleSystem(-3, [])
+    with pytest.raises(ValueError):
+        TripleSystem.from_triples(-1, [])
+
+
+# ---------------------------------------------------------------------------
+# incidence
+
+
+def test_incidence_built_once_per_instance():
+    ts = pg_sts(3)
+    inc = ts.incidence
+    span(ts, {0, 1, 3})
+    automorphism_group(ts)
+    enumerate_fano(ts)
+    assert ts.incidence is inc
+
+
+def test_pair_third_returns_a_copy():
+    ts = pg_sts(3)
+    third = ts.pair_third()
+    third[(0, 1)] = 7
+    third.pop((0, 2))
+    assert span(ts, {0, 1}) == frozenset({0, 1, 2})
+    assert span(ts, {0, 2}) == frozenset({0, 1, 2})
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        FANO,
+        cyclic_pstss(4).system,
+        PartialTripleSystem(5, []),
+        random_sts(15, random.Random(3)),
+    ],
+    ids=["fano", "cyclic4", "empty5", "random15"],
+)
+def test_incidence_agrees_with_rows(system):
+    inc = system.incidence
+    rows = [tuple(int(x) for x in row) for row in system.triples]
+    assert list(inc.triples) == rows
+    assert len(inc.third) == 3 * system.n_triples
+    for a, b, c in rows:
+        assert (inc.third[a, b], inc.third[a, c], inc.third[b, c]) == (c, b, a)
+    assert [len(spokes) for spokes in inc.pairs] == list(system.degrees())
+    for p, spokes in enumerate(inc.pairs):
+        for q, r in spokes:
+            assert q < r and inc.third[min(p, q), max(p, q)] == r
+
+
+def test_array_path_never_builds_incidence(tmp_path):
+    rep = replace_triples(boolean_space(6), cyclic_pstss(3).system)
+    assert validate_sts(rep.system).ok
+    path = tmp_path / "rep.sts"
+    write_system(rep.system, path)
+    again = read_system(path)
+    assert again == rep.system
+    assert "incidence" not in vars(rep.system)
+    assert "incidence" not in vars(again)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +342,23 @@ def test_iso_wrong_labeling_raises_verification_error(monkeypatch):
         are_isomorphic(FANO, other)
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_library():
-    """Runtime checks raise typed errors; `python -O` strips assert."""
+    """Runtime checks raise typed errors, not assert (which `python -O`
+    strips) or a bare AssertionError."""
     src = Path(__file__).resolve().parents[1] / "src" / "stslab"
     paths = sorted(src.glob("*.py"))
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert paths and not found, found
 
