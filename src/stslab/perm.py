@@ -46,22 +46,33 @@ def cycle_string(p: tuple) -> str:
 
 
 class _ChainLevel:
-    __slots__ = ("base_point", "transversal", "gens", "done")
+    __slots__ = ("base_point", "transversal", "checked")
 
-    def __init__(self, base_point: int):
+    def __init__(self, base_point: int, degree: int):
         self.base_point = base_point
-        self.transversal: dict = {}  # point -> perm mapping base->point
-        self.gens: list = []
-        self.done: set = set()  # (point, gen index) pairs already closed
+        # point -> perm mapping base->point; entries are never replaced, so
+        # the Schreier generator of a checked pair stays the same element
+        self.transversal: dict = {base_point: identity(degree)}
+        self.checked: set = set()  # (point, strong-generator index) pairs sifted
 
 
 @dataclass
 class PermutationGroup:
-    """Group generated by `generators`, with a stabilizer chain for order."""
+    """Group generated by `generators`, with a stabilizer chain for order.
+
+    The chain is built by incremental Schreier-Sims (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, sec. 4.2).  `_strong` holds
+    (level, perm) pairs.  A strong generator of level i is a residue that
+    fell out of the sift at level i: it fixes the base points of levels
+    0..i-1 and moves that of level i.  So the strong generators of level
+    >= i are those fixing the first i base points, and level i records the
+    orbit of its base point under them.
+    """
 
     degree: int
     generators: list = field(default_factory=list)
     _levels: list = field(default_factory=list, repr=False)
+    _strong: list = field(default_factory=list, repr=False)
 
     @classmethod
     def from_generators(cls, degree: int, generators) -> "PermutationGroup":
@@ -81,11 +92,11 @@ class PermutationGroup:
             out *= len(lvl.transversal)
         return out
 
-    def _sift(self, p: tuple):
-        """Reduce p through the chain; return (residue, level_index)."""
-        for i, lvl in enumerate(self._levels):
-            img = p[lvl.base_point]
-            rep = lvl.transversal.get(img)
+    def _sift(self, p: tuple, start: int = 0):
+        """Reduce p through levels start..; return (residue, level_index)."""
+        for i in range(start, len(self._levels)):
+            lvl = self._levels[i]
+            rep = lvl.transversal.get(p[lvl.base_point])
             if rep is None:
                 return p, i
             p = compose(p, inverse(rep))
@@ -99,70 +110,58 @@ class PermutationGroup:
         return residue == identity(self.degree)
 
     def extend(self, p: tuple) -> bool:
-        """Add p to the group; return True if the group grew."""
+        """Add p to the group; return True if the group grew.
+
+        A nontrivial residue of p becomes a strong generator at the level
+        where it fell out, and the levels from there up to 0 are closed.  A
+        residue found while closing is added the same way, restarting there.
+        """
         p = tuple(p)
-        if p in self:
+        residue, level = self._sift(p)
+        if residue == identity(self.degree):
             return False
         self.generators.append(p)
-        ident = identity(self.degree)
-        queue = [p]
-        while queue:
-            q = queue.pop()
-            residue, _ = self._sift(q)
-            if residue == ident:
-                continue
-            # insert q at the deepest level whose base prefix it fixes
-            idx = 0
-            while (
-                idx < len(self._levels)
-                and q[self._levels[idx].base_point] == self._levels[idx].base_point
-            ):
-                idx += 1
-            if idx == len(self._levels):
-                base_point = min(i for i in range(self.degree) if q[i] != i)
-                lvl = _ChainLevel(base_point)
-                lvl.transversal[base_point] = ident
-                self._levels.append(lvl)
-            lvl = self._levels[idx]
-            lvl.gens.append(q)
-            # the new generator can grow the orbit at its own level and at
-            # every shallower level (it fixes their bases but moves other
-            # orbit points), so re-close all of them
-            for i in range(idx, -1, -1):
-                queue.extend(self._close_level(i))
+        i = self._add_strong(residue, level)
+        while i >= 0:
+            found = self._close_level(i)
+            i = self._add_strong(*found) if found else i - 1
         return True
 
-    def _close_level(self, idx: int) -> list:
-        """Extend the orbit at level idx; return fresh Schreier generators.
+    def _add_strong(self, g: tuple, level: int) -> int:
+        if level == len(self._levels):  # g fixes every base point
+            base_point = next(i for i in range(self.degree) if g[i] != i)
+            self._levels.append(_ChainLevel(base_point, self.degree))
+        self._strong.append((level, g))
+        return level
 
-        The orbit uses the generators of this level and of every deeper one:
-        all of them fix the base prefix above this level.
+    def _close_level(self, idx: int):
+        """Close level idx; return the first nontrivial (residue, level) or None.
+
+        The orbit grows under the strong generators of level >= idx, then
+        each unchecked Schreier generator is sifted through the deeper levels.
         """
         lvl = self._levels[idx]
-        ident = identity(self.degree)
-        gens = [g for deeper in self._levels[idx:] for g in deeper.gens]
-        out = []
+        gens = [(k, g) for k, (level, g) in enumerate(self._strong) if level >= idx]
         frontier = list(lvl.transversal)
         while frontier:
             new = []
             for pt in frontier:
-                rep = lvl.transversal[pt]
-                for g in gens:
-                    if (pt, g) in lvl.done:
-                        continue
-                    lvl.done.add((pt, g))
-                    word = compose(rep, g)
-                    img = g[pt]
-                    back = lvl.transversal.get(img)
-                    if back is None:
-                        lvl.transversal[img] = word
-                        new.append(img)
-                        continue  # the Schreier generator is trivial here
-                    schreier = compose(word, inverse(back))
-                    if schreier != ident:
-                        out.append(schreier)
+                for _, g in gens:
+                    if g[pt] not in lvl.transversal:
+                        lvl.transversal[g[pt]] = compose(lvl.transversal[pt], g)
+                        new.append(g[pt])
             frontier = new
-        return out
+        ident = identity(self.degree)
+        for pt, rep in lvl.transversal.items():
+            for k, g in gens:
+                if (pt, k) in lvl.checked:
+                    continue
+                lvl.checked.add((pt, k))
+                schreier = compose(compose(rep, g), inverse(lvl.transversal[g[pt]]))
+                residue, level = self._sift(schreier, idx + 1)
+                if residue != ident:
+                    return residue, level
+        return None
 
     def elements(self, limit: int | None = 1_000_000):
         """Iterate all elements (products of transversal reps)."""
@@ -182,9 +181,8 @@ class PermutationGroup:
             return
         yield from rec(len(self._levels) - 1, identity(self.degree))
 
-    def orbit(self, point: int, extra_gens: list | None = None) -> frozenset:
-        gens = self.generators + (extra_gens or [])
-        return orbit_of(point, gens)
+    def orbit(self, point: int) -> frozenset:
+        return orbit_of(point, self.generators)
 
 
 def orbit_of(point: int, gens: list) -> frozenset:

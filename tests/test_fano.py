@@ -2,6 +2,8 @@
 
 import pytest
 
+import stslab.fano
+import stslab.system
 from stslab import (
     ClassificationError,
     MooreInput,
@@ -40,6 +42,21 @@ def test_bose9_has_no_fano():
 def test_pg3_fano_count():
     # PG(3, 2) contains exactly 15 planes
     assert len(enumerate_fano(pg_sts(3))) == 15
+
+
+def test_enumerate_spans_each_seed_once(monkeypatch):
+    calls = []
+    real_span = stslab.system.span
+
+    def counting_span(*args, **kwargs):
+        calls.append(args)
+        return real_span(*args, **kwargs)
+
+    monkeypatch.setattr(stslab.fano, "span", counting_span)
+    monkeypatch.setattr(stslab.system, "span", counting_span)
+    assert len(enumerate_fano(pg_sts(3))) == 15
+    # one span per intersecting triple pair: 15 points x C(7, 2) line pairs
+    assert len(calls) == 15 * 21
 
 
 @pytest.mark.parametrize("ts", [pg_sts(2), bose(9), base_sts(13), pg_sts(3)])

@@ -2,6 +2,7 @@
 
 - |Aut| against the orbit-stabilizer reference search in `aut_reference`;
 - |Aut| against brute force over S_n for n <= 9;
+- |Aut| of PG(d, 2) and AG(2, 3) against |GL(d+1, 2)| and |AGL(2, 3)|;
 - `are_isomorphic` verdicts against networkx VF2 on point-triple incidence
   graphs for n <= 21.
 """
@@ -26,6 +27,7 @@ from stslab import (
     direct_product,
     double,
     embed_subsystem,
+    is_automorphism,
     moore,
     pg_sts,
 )
@@ -101,6 +103,26 @@ def test_aut_order_matches_reference_search(name, labeling):
 def test_aut_order_matches_brute_force(name, labeling):
     ts = _system(name, labeling)
     assert automorphism_group(ts).order == _brute_force_order(ts)
+
+
+def _gl_order(k, q):
+    """|GL(k, q)| = (q^k - 1)(q^k - q)...(q^k - q^(k-1))."""
+    return math.prod(q**k - q**i for i in range(k))
+
+
+CLASSICAL = {
+    **{f"pg{d}": (lambda d=d: pg_sts(d), _gl_order(d + 1, 2)) for d in (2, 3, 4)},
+    "bose9": (lambda: bose(9), 3**2 * _gl_order(2, 3)),  # AG(2, 3): |AGL(2, 3)|
+}
+
+
+@pytest.mark.parametrize("name", CLASSICAL)
+def test_aut_order_matches_classical_group(name):
+    build, order = CLASSICAL[name]
+    ts = build()
+    group = automorphism_group(ts)
+    assert group.order == order
+    assert all(is_automorphism(ts, g) for g in group.generators)
 
 
 def test_empty_system_has_full_symmetric_group():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stslab import automorphism_group, pg_sts
 from stslab.perm import (
     PermutationGroup,
     compose,
@@ -102,6 +103,16 @@ def test_extend_incremental():
     assert g.order == 120
 
 
+def test_chain_keeps_only_sifted_residues():
+    # only nontrivial residues enter the chain, each at the level where it
+    # fell out of the sift: it fixes the base points above and moves its own
+    group = automorphism_group(pg_sts(4))
+    assert len(group._strong) <= 30
+    for level, g in group._strong:
+        bases = [lvl.base_point for lvl in group._levels[: level + 1]]
+        assert all(g[b] == b for b in bases[:-1]) and g[bases[-1]] != bases[-1]
+
+
 def test_orbit_functions():
     gens = [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]
     assert orbit_of(0, gens) == frozenset({0, 1, 2})
@@ -123,3 +134,39 @@ def test_order_divides_factorial_and_contains_gens(seed, n, ngens):
     for p in gens:
         assert p in g
     assert len(set(g.elements())) == g.order
+
+
+def _closure(n, gens):
+    """The group generated by gens, by BFS from the identity; no chain involved."""
+    seen = {identity(n)}
+    frontier = [identity(n)]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_matches_bruteforce_closure(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    g = PermutationGroup.trivial(n)
+    added, group = [], {identity(n)}
+    for _ in range(rng.randint(1, 4)):
+        # an element already in the group must not grow it
+        assert not g.extend(rng.choice(sorted(group)))
+        # generators fixing points 0 and 1 put their residues on deep levels
+        low = 2 if n >= 4 and rng.random() < 0.5 else 0
+        p = tuple(range(low)) + tuple(low + i for i in _random_perm(n - low, rng))
+        assert g.extend(p) == (p not in group)
+        added.append(p)
+        group = _closure(n, added)
+        assert g.order == len(group)
+    for p in itertools.permutations(range(n)):
+        assert (p in g) == (p in group)
