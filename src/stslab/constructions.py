@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .search import automorphism_group
 from .system import (
     PointSet,
@@ -462,12 +464,15 @@ class MooreInput:
         return out
 
 
-def _moore_triples(inp: MooreInput, residue_map=None):
+def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
+    """The product's triples as an int32 (m, 3) array, rows unsorted.
+
+    sigma, a residue permutation, twists the (M3) product triples.
+    """
     lab = inp.labeling
     m = lab.m
     xi = inp.x_index()
     res = lab.residue_of()
-    sigma = residue_map or (lambda a: a)
     triples = []
     # (M1) triples inside X
     for t in inp.y.iter_triples():
@@ -489,24 +494,21 @@ def _moore_triples(inp: MooreInput, residue_map=None):
                 )
         else:  # X closed: a triple cannot meet X in exactly two points
             raise VerificationError("closed subsystem violated")
-    # (M3) product triples: labels multiplying to the identity
-    for v1, v2, v3 in inp.v.iter_triples():
-        for a1 in range(m):
-            for a2 in range(m):
-                a3 = (-a1 - a2) % m
-                triples.append(
-                    (
-                        inp.u_point(v1, sigma(a1)),
-                        inp.u_point(v2, sigma(a2)),
-                        inp.u_point(v3, sigma(a3)),
-                    )
-                )
-    return triples
+    # (M3) product triples: labels multiplying to the identity, for every
+    # triple (v1, v2, v3) of V and every a1, a2 in that order
+    a1, a2 = np.divmod(np.arange(m * m, dtype=np.int32), m)
+    labels = np.stack([a1, a2, (-a1 - a2) % m], axis=1)
+    if sigma is not None:
+        labels = np.asarray(sigma, dtype=np.int32)[labels]
+    product = len(inp.x_points) + inp.v.triples[:, None, :] * m + labels
+    return np.concatenate(
+        [np.array(triples, dtype=np.int32).reshape(-1, 3), product.reshape(-1, 3)]
+    )
 
 
 def moore(inp: MooreInput) -> TripleSystem:
     """The three-system product on |X| + |V|(|Y|-|X|) points."""
-    return TripleSystem.from_triples(inp.u_size, _moore_triples(inp))
+    return TripleSystem(inp.u_size, _moore_triples(inp))
 
 
 def moore_variant_sigma(inp: MooreInput, sigma) -> TripleSystem:
@@ -523,9 +525,7 @@ def moore_variant_sigma(inp: MooreInput, sigma) -> TripleSystem:
     for a in fixed:
         if sigma[a] != a:
             raise ConstructionError(f"sigma must fix residue {a}")
-    return TripleSystem.from_triples(
-        inp.u_size, _moore_triples(inp, residue_map=lambda a: sigma[a])
-    )
+    return TripleSystem(inp.u_size, _moore_triples(inp, sigma))
 
 
 def lift_v_automorphism(inp: MooreInput, g) -> tuple:

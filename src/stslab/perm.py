@@ -46,14 +46,19 @@ def cycle_string(p: tuple) -> str:
 
 
 class _ChainLevel:
-    __slots__ = ("base_point", "transversal", "checked")
+    __slots__ = ("base_point", "transversal", "inverses", "checked")
 
     def __init__(self, base_point: int, degree: int):
         self.base_point = base_point
         # point -> perm mapping base->point; entries are never replaced, so
         # the Schreier generator of a checked pair stays the same element
         self.transversal: dict = {base_point: identity(degree)}
+        self.inverses: dict = {base_point: identity(degree)}  # point -> inverse entry
         self.checked: set = set()  # (point, strong-generator index) pairs sifted
+
+    def add(self, point: int, rep: tuple) -> None:
+        self.transversal[point] = rep
+        self.inverses[point] = inverse(rep)
 
 
 @dataclass
@@ -96,10 +101,10 @@ class PermutationGroup:
         """Reduce p through levels start..; return (residue, level_index)."""
         for i in range(start, len(self._levels)):
             lvl = self._levels[i]
-            rep = lvl.transversal.get(p[lvl.base_point])
-            if rep is None:
+            inv = lvl.inverses.get(p[lvl.base_point])
+            if inv is None:
                 return p, i
-            p = compose(p, inverse(rep))
+            p = compose(p, inv)
         return p, len(self._levels)
 
     def __contains__(self, p) -> bool:
@@ -148,7 +153,7 @@ class PermutationGroup:
             for pt in frontier:
                 for _, g in gens:
                     if g[pt] not in lvl.transversal:
-                        lvl.transversal[g[pt]] = compose(lvl.transversal[pt], g)
+                        lvl.add(g[pt], compose(lvl.transversal[pt], g))
                         new.append(g[pt])
             frontier = new
         ident = identity(self.degree)
@@ -157,7 +162,7 @@ class PermutationGroup:
                 if (pt, k) in lvl.checked:
                     continue
                 lvl.checked.add((pt, k))
-                schreier = compose(compose(rep, g), inverse(lvl.transversal[g[pt]]))
+                schreier = compose(compose(rep, g), lvl.inverses[g[pt]])
                 residue, level = self._sift(schreier, idx + 1)
                 if residue != ident:
                     return residue, level

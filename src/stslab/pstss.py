@@ -19,6 +19,7 @@ from .system import (
     PointSet,
     TripleSystem,
     VerificationError,
+    _triple_keys,
     validate_pstss,
 )
 
@@ -222,7 +223,8 @@ class BooleanSpace:
         return (1 << self.n_prime) - 1
 
     def triples_array(self) -> np.ndarray:
-        """All (mask-1) index triples {a, b, a xor b}, rows sorted."""
+        """All (mask-1) index triples {a, b, a xor b}, rows sorted, in
+        lexicographic order."""
         n = self.n
         chunks = []
         for a in range(1, n + 1):
@@ -271,11 +273,6 @@ class ReplacedSystem:
         return ((x + 1) ^ (y + 1)) - 1
 
 
-def _triple_codes(arr: np.ndarray, n: int) -> np.ndarray:
-    a = arr.astype(np.int64)
-    return (a[:, 0] * n + a[:, 1]) * n + a[:, 2]
-
-
 def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSystem:
     """Switch four triples per vprime-triple; the pair cover is unchanged.
 
@@ -301,12 +298,14 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
     base = space.triples_array()
     n = space.n
     if removed:
-        rem_codes = _triple_codes(np.array(removed, dtype=np.int64), n)
-        keep = ~np.isin(_triple_codes(base, n), rem_codes)
-        if int((~keep).sum()) != len(removed):
+        keys = _triple_keys(base, n)  # ascending, as the rows are in order
+        rem_keys = _triple_keys(np.array(removed, dtype=np.int32), n)
+        drop = np.searchsorted(keys, rem_keys)
+        found = keys[np.minimum(drop, keys.size - 1)] == rem_keys
+        if not found.all() or np.unique(drop).size != len(removed):
             raise VerificationError("a removed triple was absent")
-        base = base[keep]
-        base = np.concatenate([base, np.array(added, dtype=np.int32)])
+        del keys
+        base[drop] = added  # four out, four in: the rows stay nearly sorted
     system = TripleSystem(n, base)
     override = {}
     for t in added:
@@ -331,8 +330,7 @@ def nonspace_triples(rep: ReplacedSystem) -> list:
     do not.
     """
     arr = rep.system.triples
-    masks = arr.astype(np.int64) + 1
-    bad = (masks[:, 0] ^ masks[:, 1] ^ masks[:, 2]) != 0
+    bad = ((arr[:, 0] + 1) ^ (arr[:, 1] + 1) ^ (arr[:, 2] + 1)) != 0
     return [tuple(int(v) for v in row) for row in arr[bad]]
 
 

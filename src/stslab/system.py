@@ -7,6 +7,7 @@ order, so two systems with the same triples compare equal bit-for-bit.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -16,19 +17,56 @@ import numpy as np
 PointSet = frozenset  # frozenset[int]; subsets of 0..n-1
 
 
+_KEY_MAX_N = 2_097_151  # largest n with n**3 < 2**63, so row keys fit int64
+
+
+def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key a*n^2 + b*n + c per row; keys order like the rows.
+
+    Needs n <= _KEY_MAX_N.
+    """
+    keys = rows[:, 0].astype(np.int64)
+    keys *= n
+    keys += rows[:, 1]
+    keys *= n
+    keys += rows[:, 2]
+    return keys
+
+
 def _normalize(n: int, triples) -> np.ndarray:
+    """Read-only int32 (m, 3) rows, each sorted, in lexicographic order.
+
+    Rows are sorted only when one is out of order, and the row order is
+    sorted only when the keys are not already non-decreasing.
+    """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
-    arr = np.asarray(triples, dtype=np.int64)
+    if not (isinstance(triples, np.ndarray) and triples.dtype == np.int32):
+        triples = np.asarray(triples, dtype=np.int64)
+    arr = triples
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("triples must be an (m, 3) array")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("triple entry out of range 0..n-1")
-    arr = np.sort(arr, axis=1)
-    order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))
-    arr = np.ascontiguousarray(arr[order], dtype=np.int32)
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    if np.any(arr[:, 0] > arr[:, 1]) or np.any(arr[:, 1] > arr[:, 2]):
+        arr = np.sort(arr, axis=1)
+    if n > _KEY_MAX_N:
+        arr = arr[np.lexsort((arr[:, 2], arr[:, 0].astype(np.int64) * n + arr[:, 1]))]
+    elif arr.shape[0] > 1:
+        keys = _triple_keys(arr, n)
+        if np.any(keys[1:] < keys[:-1]):
+            keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
+            arr = np.empty_like(arr)
+            arr[:, 2] = keys % n
+            keys //= n
+            arr[:, 1] = keys % n
+            keys //= n
+            arr[:, 0] = keys
+    if np.may_share_memory(arr, triples):  # never hand back the caller's array
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -145,13 +183,21 @@ _CHUNK = 1 << 21
 def _scan_pair_coverage(ts: _SystemBase) -> tuple:
     """Return (duplicate pair list (possibly truncated), covered-pair count).
 
-    Memory-bounded: uses a bitmap of n^2 bits, processing triples in chunks.
+    Memory-bounded: uses a bitmap of n^2 bits, processing triples in chunks,
+    unless the 3m pair codes are smaller than the bitmap; then the sorted
+    codes are compared with their neighbours.
     """
     n = ts.n
-    bitmap = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    m = ts.n_triples
+    bitmap_bytes = (n * n + 7) // 8
+    if 3 * m * (4 if n <= 65535 else 8) < bitmap_bytes:
+        codes = np.sort(_pair_codes(ts.triples, n))
+        repeat = codes[1:] == codes[:-1]
+        dupes = np.unique(codes[1:][repeat])[:20].tolist()
+        return dupes, len(codes) - int(np.count_nonzero(repeat))
+    bitmap = np.zeros(bitmap_bytes, dtype=np.uint8)
     dupes = []
     covered = 0
-    m = ts.n_triples
     for lo in range(0, m, _CHUNK):
         chunk = ts.triples[lo : lo + _CHUNK]
         codes = _pair_codes(chunk, n)
@@ -272,12 +318,42 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
 # "sts/1" text format
 
 
+_WRITE_ROWS = 1 << 18
+
+
+def _decimal_cells(values: np.ndarray, width: int) -> tuple:
+    """Per value: width + 1 bytes holding its decimal digits, a space and
+    zero padding; and its digit count."""
+    cells = np.zeros(values.shape + (width + 1,), dtype=np.uint8)
+    cells[..., :width] = values.astype(f"S{width}").view(np.uint8).reshape(values.shape + (width,))
+    lengths = np.count_nonzero(cells, axis=-1)
+    np.put_along_axis(cells, lengths[..., None], ord(" "), axis=-1)
+    return cells, lengths
+
+
 def write_system(ts: _SystemBase, path) -> None:
+    """Write the header line, then one line "a b c" per row.
+
+    Rows are written a chunk at a time.  Their bytes are gathered from a
+    table of the decimal digits of 0..p, p the largest point in a triple,
+    unless that table would hold more entries than the rows do.
+    """
     kind = "sts" if isinstance(ts, TripleSystem) else "pstss"
-    with open(path, "w") as fh:
-        fh.write(f"{kind} {ts.n}\n")
-        for a, b, c in ts.iter_triples():
-            fh.write(f"{a} {b} {c}\n")
+    m = ts.n_triples
+    size = int(ts.triples.max()) + 1 if m else 0
+    width = len(str(max(size - 1, 0)))
+    table = _decimal_cells(np.arange(size), width) if size <= 3 * m else None
+    column = np.arange(width + 1)
+    with open(path, "wb") as fh:
+        fh.write(f"{kind} {ts.n}\n".encode())
+        for lo in range(0, m, _WRITE_ROWS):
+            rows = ts.triples[lo : lo + _WRITE_ROWS]
+            if table is None:
+                cells, ends = _decimal_cells(rows, width)
+            else:
+                cells, ends = table[0][rows], table[1][rows]
+            cells[np.arange(rows.shape[0]), 2, ends[:, 2]] = ord("\n")
+            fh.write(cells[column <= ends[..., None]].tobytes())
 
 
 class FormatError(ValueError):
@@ -287,25 +363,72 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+_READ_BYTES = 1 << 23
+_LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
+
+
+def _parse_rows(raw: bytes, start: int, n: int):
+    """The rows of raw[start:] as an int32 (m, 3) array, when every line is
+    three in-range decimal indices joined by single spaces; else None.
+
+    Reads about _READ_BYTES at a time, cut at line ends.
+    """
+    if len(raw) > start and not raw.endswith(b"\n"):
+        raw += b"\n"
+    width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
+    chunks = []
+    while start < len(raw):
+        stop = raw.find(b"\n", min(start + _READ_BYTES, len(raw)) - 1) + 1
+        buf = np.frombuffer(raw, dtype=np.uint8, count=stop - start, offset=start)
+        start = stop
+        seps = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
+        if seps.size % 3 or not np.array_equal(
+            buf[seps].reshape(-1, 3), np.broadcast_to(_LINE_SEPARATORS, (seps.size // 3, 3))
+        ):
+            return None
+        lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+        if lengths.min() < 1 or lengths.max() > width:
+            return None
+        values = np.zeros(seps.size, dtype=np.int32)  # at most 9 digits
+        for k in range(1, int(lengths.max()) + 1):  # add the k-th digit from the right
+            digit = buf[np.maximum(seps - k, 0)] - np.int32(ord("0"))
+            digit *= lengths >= k
+            digit *= 10 ** (k - 1)
+            values += digit
+        if values.max() >= n:
+            return None
+        chunks.append(values.reshape(-1, 3))
+    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+
+
 def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
-    The system is validated against the axioms its header names; a file
-    that breaks them raises FormatError listing every violation found.
+    A body of plain "a b c" lines is parsed by numpy; any other body is
+    read line by line, which reports the first bad line.  The system is
+    validated against the axioms its header names; a file that breaks
+    them raises FormatError listing every violation found.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
-            raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            n = -1
-        if n < 0:
-            raise FormatError(path, 1, f"bad point count {parts[1]!r}")
-        triples = []
-        for line_no, line in enumerate(fh, start=2):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace")
+    header = text.readline()
+    parts = header.split()
+    if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
+        raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise FormatError(path, 1, f"bad point count {parts[1]!r}")
+    head = header.encode()
+    rows = None
+    if head.endswith(b"\n") and raw.startswith(head):
+        rows = _parse_rows(raw, len(head), n)
+    if rows is None:
+        rows = []
+        for line_no, line in enumerate(text, start=2):
             if not line.strip():
                 continue
             fields = line.split()
@@ -317,12 +440,12 @@ def read_system(path):
                 raise FormatError(path, line_no, "non-integer index") from None
             if any(p < 0 or p >= n for p in t):
                 raise FormatError(path, line_no, f"index out of range 0..{n - 1}")
-            triples.append(t)
+            rows.append(t)
     if parts[0] == "sts":
         cls, validate = TripleSystem, validate_sts
     else:
         cls, validate = PartialTripleSystem, validate_pstss
-    system = cls.from_triples(n, triples)
+    system = cls(n, rows)
     report = validate(system)
     if not report.ok:
         raise FormatError(path, 1, "; ".join(report.violations))

@@ -94,6 +94,26 @@ def test_invalid_file_exits_1(tmp_path, capsys, content, needle):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body,code",
+    [
+        ("", EXIT_OK),
+        ("5 999999 70\n", EXIT_OK),
+        ("5 70 999999\n3 5 999999\n", EXIT_VALIDATION),
+    ],
+)
+def test_verify_sparse_million_point_pstss(tmp_path, capsys, body, code):
+    # a pair bitmap for 10^6 points would take 116 GiB
+    path = tmp_path / "sparse.pstss"
+    path.write_text("pstss 1000000\n" + body)
+    assert _run("verify", str(path)) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert f"ok (1000000 points, {body.count(chr(10))} triples)" in captured.out
+    else:
+        assert "pair (5, 999999) covered twice" in captured.err
+
+
 def test_aut_and_budget(tmp_path, capsys):
     out = tmp_path / "f.sts"
     _run("construct", "base", "--n", "7", "--output", str(out))

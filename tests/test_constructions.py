@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stslab import (
@@ -34,7 +35,7 @@ from stslab import (
     skolem,
     validate_sts,
 )
-from stslab.constructions import random_sts
+from stslab.constructions import _moore_triples, random_sts
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,72 @@ def test_moore_variant_sigma_validates():
     sigma[free[0]], sigma[free[1]] = sigma[free[1]], sigma[free[0]]
     variant = moore_variant_sigma(inp, sigma)
     assert validate_sts(variant).ok
+
+
+def _moore_triples_loop(inp, sigma=None):
+    """The per-triple loop that built the (M3) block before broadcasting."""
+    lab = inp.labeling
+    m = lab.m
+    xi = inp.x_index()
+    res = lab.residue_of()
+    sig = (lambda a: sigma[a]) if sigma is not None else (lambda a: a)
+    triples = []
+    for t in inp.y.iter_triples():
+        inside = [p in inp.x_points for p in t]
+        if all(inside):
+            triples.append(tuple(xi[p] for p in t))
+            continue
+        outs = [p for p, isin in zip(t, inside) if not isin]
+        ins = [p for p, isin in zip(t, inside) if isin]
+        if len(outs) == 2:
+            a1, a2 = res[outs[0]], res[outs[1]]
+            for v in range(inp.v.n):
+                triples.append((inp.u_point(v, a1), inp.u_point(v, a2), xi[ins[0]]))
+        else:
+            a1, a2, a3 = (res[p] for p in outs)
+            for v in range(inp.v.n):
+                triples.append((inp.u_point(v, a1), inp.u_point(v, a2), inp.u_point(v, a3)))
+    for v1, v2, v3 in inp.v.iter_triples():
+        for a1 in range(m):
+            for a2 in range(m):
+                a3 = (-a1 - a2) % m
+                triples.append(
+                    (inp.u_point(v1, sig(a1)), inp.u_point(v2, sig(a2)), inp.u_point(v3, sig(a3)))
+                )
+    return triples
+
+
+def _grid_inputs():
+    """Every (x, y, v) product the tests build (the criterion-01 grid)."""
+    for x in (1, 3, 7):
+        for y in (7, 9, 13, 15):
+            try:
+                ysys, xset = embed_subsystem(x, y)
+            except (UnsupportedEmbeddingError, ConstructionError):
+                continue
+            for v in (3, 7, 9):
+                yield (x, y, v), MooreInput.build(ysys, xset, base_sts(v))
+
+
+def test_moore_triples_match_loop_oracle():
+    built = 0
+    for params, inp in _grid_inputs():
+        got = _moore_triples(inp)
+        want = np.array(_moore_triples_loop(inp), dtype=np.int32)
+        assert got.dtype == np.int32 and np.array_equal(got, want), params
+        built += 1
+    assert built == 27
+
+
+def test_moore_variant_sigma_triples_match_loop_oracle():
+    inp = _inp(1, 13, 3)
+    fixed = set(inp.labeling.a6()) | {inp.labeling.y_star}
+    free = [a for a in range(inp.m) if a not in fixed]
+    sigma = list(range(inp.m))
+    sigma[free[0]], sigma[free[1]], sigma[free[2]] = sigma[free[1]], sigma[free[2]], sigma[free[0]]
+    got = _moore_triples(inp, tuple(sigma))
+    assert np.array_equal(got, np.array(_moore_triples_loop(inp, sigma), dtype=np.int32))
+    assert moore_variant_sigma(inp, sigma) == TripleSystem(inp.u_size, got)
 
 
 def test_moore_variant_sigma_rejects_bad_sigma():

@@ -1,9 +1,13 @@
 """Core data model: validation, closure, file I/O, and the exact engine."""
 
 import ast
+import contextlib
 import random
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +35,10 @@ from stslab import (
     validate_sts,
     write_system,
 )
+import stslab.system
 from stslab.constructions import random_sts
 from stslab.pstss import cyclic_pstss
+from stslab.system import _normalize
 
 
 FANO = base_sts(7)
@@ -229,6 +235,183 @@ def test_array_path_never_builds_incidence(tmp_path):
     assert again == rep.system
     assert "incidence" not in vars(rep.system)
     assert "incidence" not in vars(again)
+
+
+# ---------------------------------------------------------------------------
+# array path: normalization, writer and reader against the code they replaced
+
+
+def _lexsort_normalize(n, triples):
+    """The int64 lexsort normalization the packed-key one replaced."""
+    if n < 0:
+        raise ValueError(f"point count {n} is negative")
+    arr = np.asarray(triples, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("triples must be an (m, 3) array")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise ValueError("triple entry out of range 0..n-1")
+    arr = np.sort(arr, axis=1)
+    order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))
+    return np.ascontiguousarray(arr[order], dtype=np.int32)
+
+
+# from 2,097,152 points on n^3 overflows int64, so rows are ordered by (a*n + b, c)
+_NORMALIZE_SIZES = [0, 1, 2, 3, 7, 10, 50, 2_097_151, 2_097_152, 3_000_000]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_matches_lexsort_oracle(data):
+    n = data.draw(st.sampled_from(_NORMALIZE_SIZES))
+    point = st.integers(0, n - 1) if n else st.nothing()
+    if n and data.draw(st.booleans()):  # points near n, where keys are largest
+        point = st.integers(max(0, n - 4), n - 1) | point
+    rows = data.draw(st.lists(st.tuples(point, point, point), max_size=40 if n else 0))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    shape = data.draw(st.sampled_from(["as drawn", "rows sorted", "normalized", "reversed"]))
+    if shape != "as drawn":
+        rows = [tuple(sorted(t)) for t in rows]
+    if shape == "normalized":
+        rows.sort()
+    elif shape == "reversed":
+        rows.sort(reverse=True)
+    kind = data.draw(st.sampled_from(["list", "int32", "int64"]))
+    given_rows = rows if kind == "list" else np.array(rows, dtype=kind).reshape(-1, 3)
+    got = _normalize(n, given_rows)
+    want = _lexsort_normalize(n, rows)
+    assert got.dtype == np.int32 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
+    if isinstance(given_rows, np.ndarray):
+        assert not np.shares_memory(got, given_rows)
+
+
+@pytest.mark.parametrize(
+    "n,triples",
+    [(7, [(0, 1, 7)]), (7, [(0, -1, 2)]), (0, [(0, 0, 0)]), (7, [(0, 1)]), (7, [[[0, 1, 2]]])],
+)
+def test_normalize_rejects_like_lexsort_oracle(n, triples):
+    with pytest.raises(ValueError) as want:
+        _lexsort_normalize(n, triples)
+    with pytest.raises(ValueError) as got:
+        _normalize(n, triples)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        _normalize(n, np.array(triples, dtype=np.int32))
+
+
+def test_normalize_of_sorted_rows_allocates_at_most_twice_the_array():
+    rng = np.random.default_rng(0)
+    rows = np.sort(rng.integers(0, 300, size=(1_000_000, 3)), axis=1)
+    rows = _lexsort_normalize(300, rows)
+    tracemalloc.start()
+    try:
+        _normalize(300, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows.nbytes, f"{peak / 1e6:.1f} MB for a {rows.nbytes / 1e6:.0f} MB array"
+
+
+def _fstring_write(ts, path):
+    """The per-row f-string writer the digit-table writer replaced."""
+    kind = "sts" if isinstance(ts, TripleSystem) else "pstss"
+    with open(path, "w") as fh:
+        fh.write(f"{kind} {ts.n}\n")
+        for a, b, c in ts.iter_triples():
+            fh.write(f"{a} {b} {c}\n")
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        FANO,
+        cyclic_pstss(4).system,
+        PartialTripleSystem(0, []),
+        PartialTripleSystem(1, []),
+        PartialTripleSystem(10, [(0, 1, 9), (2, 8, 9), (3, 4, 5)]),
+        PartialTripleSystem(11, [(0, 9, 10), (1, 2, 3), (4, 9, 8)]),
+        PartialTripleSystem(100, [(0, 9, 99), (10, 11, 98), (1, 2, 3)]),
+        PartialTripleSystem(101, [(9, 10, 100), (0, 99, 98), (1, 2, 3)]),
+        base_sts(13),
+    ],
+    ids=lambda s: f"{type(s).__name__}-{s.n}-{s.n_triples}",
+)
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 18])
+def test_write_matches_fstring_oracle(tmp_path, monkeypatch, system, chunk_rows):
+    monkeypatch.setattr(stslab.system, "_WRITE_ROWS", chunk_rows)
+    write_system(system, tmp_path / "new.sts")
+    _fstring_write(system, tmp_path / "old.sts")
+    assert (tmp_path / "new.sts").read_bytes() == (tmp_path / "old.sts").read_bytes()
+    assert read_system(tmp_path / "new.sts") == system
+
+
+def _read_outcome(path, by_lines=False, read_bytes=None):
+    """read_system's system or FormatError text; by_lines turns the numpy parser off."""
+    with contextlib.ExitStack() as stack:
+        if by_lines:
+            stack.enter_context(mock.patch.object(stslab.system, "_parse_rows", lambda *a: None))
+        if read_bytes is not None:
+            stack.enter_context(mock.patch.object(stslab.system, "_READ_BYTES", read_bytes))
+        try:
+            return read_system(path)
+        except FormatError as exc:
+            return f"FormatError: {exc}"
+
+
+_HEADERS = [b"sts 7\n", b"pstss 12\n", b"sts 0\n", b"pstss 1\n", b"sts 13\r\n", b"bad\n", b"sts x\n", b"",
+            b"pstss 3000000000\n"]
+_TOKEN = st.sampled_from([b"0", b"1", b"2", b"3", b"4", b"5", b"6", b"7", b"9", b"11", b"12", b"007",
+                          b"", b"+1", b"-0", b"2500000000", b"99999999999999999999", b"\xd9\xa3", b"x"])
+_SEP = st.sampled_from([b" "] * 8 + [b"  ", b"\t", b"", b"\x0c"])
+_END = st.sampled_from([b"\n"] * 8 + [b"\r\n", b"\r", b" \n", b"\n\n", b""])
+# mostly lines of three tokens, so the numpy parser runs as often as the line parser
+_BODY_BYTES = (
+    st.lists(st.tuples(_TOKEN, _SEP, _TOKEN, _SEP, _TOKEN, _END).map(b"".join), max_size=12)
+    .map(b"".join)
+    | st.binary(max_size=120)
+    | st.lists(
+        st.sampled_from([b"0", b"1", b"2", b"3", b"5", b"9", b"11", b" ", b"  ", b"\n", b"\t",
+                         b"\r", b"\r\n", b"+", b"-", b"x", b"\xff", b"\xc3\xa9", b"\x00", b"\x0c"]),
+        max_size=60,
+    ).map(b"".join)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(header=st.sampled_from(_HEADERS), body=_BODY_BYTES, read_bytes=st.sampled_from([None, 1, 7]))
+def test_read_fuzz_raises_only_format_error(tmp_path_factory, header, body, read_bytes):
+    path = tmp_path_factory.mktemp("fuzz") / "f.sts"
+    path.write_bytes(header + body)
+    got = _read_outcome(path, read_bytes=read_bytes)  # any other exception fails the test
+    assert got == _read_outcome(path, by_lines=True)
+
+
+def _render(system, data):
+    """The system's file with drawn whitespace: separators, blank lines, line ends."""
+    kind = "sts" if isinstance(system, TripleSystem) else "pstss"
+    sep = st.sampled_from([" ", " ", "  ", "\t", " \t"])
+    end = st.sampled_from(["\n", "\n", "\r\n", " \n", "\t\n", "\n\n"])
+    lines = [f"{kind} {system.n}" + data.draw(end)]
+    for row in data.draw(st.permutations(system.triples.tolist())):
+        lead = data.draw(st.sampled_from(["", "", " ", "\t"]))
+        row = data.draw(st.permutations(row))
+        lines.append(lead + data.draw(sep).join(map(str, row)) + data.draw(end))
+    text = "".join(lines)
+    return text.rstrip("\r\n") if data.draw(st.booleans()) else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_whitespace_variants_agree(tmp_path_factory, data):
+    system = data.draw(st.sampled_from([FANO, bose(9), cyclic_pstss(4).system]))
+    path = tmp_path_factory.mktemp("ws") / "f.sts"
+    path.write_bytes(_render(system, data).encode())
+    assert _read_outcome(path) == system
+    assert _read_outcome(path, by_lines=True) == system
+    assert _read_outcome(path, read_bytes=data.draw(st.sampled_from([1, 5, 64]))) == system
 
 
 # ---------------------------------------------------------------------------
