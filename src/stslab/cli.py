@@ -16,9 +16,7 @@ import sys
 from . import __version__
 from .constructions import (
     ConstructionError,
-    LabelingError,
     MooreInput,
-    UnsupportedEmbeddingError,
     base_sts,
     bose,
     direct_product,
@@ -144,7 +142,7 @@ def cmd_construct(args) -> int:
             names = inp.point_names()
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown construction {kind}", EXIT_USAGE)
-    except (ConstructionError, LabelingError, UnsupportedEmbeddingError) as e:
+    except ConstructionError as e:
         raise CliError(str(e))
     report = validate_sts(system)
     if not report.ok:
@@ -185,7 +183,7 @@ def cmd_classify_fano(args) -> int:
     try:
         ysys, xpts = embed_subsystem(args.x, args.y)
         inp = MooreInput.build(ysys, xpts, base_sts(args.v))
-    except (ConstructionError, LabelingError, UnsupportedEmbeddingError) as e:
+    except ConstructionError as e:
         raise CliError(str(e))
     u = moore(inp)
     for pts in enumerate_fano(u):

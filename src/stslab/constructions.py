@@ -21,8 +21,8 @@ from .system import (
     PointSet,
     TripleSystem,
     VerificationError,
+    fano_plane,
     is_subsystem,
-    restrict,
     span,
     validate_sts,
 )
@@ -172,28 +172,22 @@ def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
 # Pointedness / pairing predicates
 
 
-def _spans_fano(ts, p: int, pair_a, pair_b) -> bool:
-    """The triples {p} + pair_a and {p} + pair_b generate 7 points."""
-    return len(span(ts, {p, *pair_a, *pair_b}, cap=7)) == 7
-
-
 def is_pg2_pointed(ts: TripleSystem, p: int, explain: bool = False):
     """Any two triples through p generate a 7-point subsystem."""
     for pair_a, pair_b in combinations(ts.incidence.pairs[p], 2):
-        if not _spans_fano(ts, p, pair_a, pair_b):
+        if fano_plane(ts, p, pair_a, pair_b) is None:
             witness = tuple(tuple(sorted((p, *pair))) for pair in (pair_a, pair_b))
             return (False, witness) if explain else False
     return (True, None) if explain else True
 
 
 def _is_projective_15(ts, points) -> bool:
-    """A closed 15-set is PG(3,2) iff every two meeting lines span 7 points."""
-    sub, _ = restrict(ts, points)
-    return all(
-        _spans_fano(sub, p, pair_a, pair_b)
-        for p, spokes in enumerate(sub.incidence.pairs)
-        for pair_a, pair_b in combinations(spokes, 2)
-    )
+    """A closed 15-set is PG(3,2) iff every two meeting lines in it lie in a plane."""
+    for p in points:
+        inside = [pair for pair in ts.incidence.pairs[p] if pair[0] in points]
+        if any(fano_plane(ts, p, a, b) is None for a, b in combinations(inside, 2)):
+            return False
+    return True
 
 
 def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
@@ -221,23 +215,23 @@ def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
 
 
 def is_pg2_paired(ts: TripleSystem, explain: bool = False):
-    """Any two points lie in at least two 7-point subsystems."""
-    third = ts.incidence.third
-    for a in range(ts.n):
-        for b in range(a + 1, ts.n):
-            c = third[(a, b)]
-            base = (a, b, c)
-            found = set()
-            for w in range(ts.n):
-                if w in base:
-                    continue
-                closure = span(ts, {a, b, c, w}, cap=7)
-                if len(closure) == 7:
-                    found.add(frozenset(closure))
-                    if len(found) >= 2:
-                        break
-            if len(found) < 2:
-                return (False, (a, b)) if explain else False
+    """Any two points lie in at least two 7-point subsystems.
+
+    The planes through a pair are those through its triple {a, b, c}, and
+    each of them holds another triple through a; the witness is the first
+    failing pair, which is the (a, b) of the first failing triple.
+    """
+    pairs = ts.incidence.pairs
+    for a, b, c in ts.incidence.triples:
+        planes = set()
+        for other in pairs[a]:
+            plane = None if other == (b, c) else fano_plane(ts, a, (b, c), other)
+            if plane is not None:
+                planes.add(plane)
+                if len(planes) == 2:
+                    break
+        if len(planes) < 2:
+            return (False, (a, b)) if explain else False
     return (True, None) if explain else True
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructions import MooreInput
-from .system import PointSet, is_subsystem, span
+from .system import PointSet, fano_plane, is_subsystem
 
 
 # ---------------------------------------------------------------------------
@@ -23,30 +23,17 @@ from .system import PointSet, is_subsystem, span
 def enumerate_fano(ts) -> list:
     """All PG(2, 2) subsystems, each as a sorted 7-tuple of points.
 
-    Every 7-point projective plane is generated by any two of its triples
-    that meet in one point, so closing every intersecting triple pair
-    finds them all.  `span` stops early only past 7 points, so a 7-point
-    result is already closed.
+    Every plane holds two triples that meet in a point, and `fano_plane`
+    on those two returns it, so testing every meeting pair of triples
+    finds every plane.
     """
     found = set()
     for p, spokes in enumerate(ts.incidence.pairs):
-        for (q1, r1), (q2, r2) in combinations(spokes, 2):
-            seed = {p, q1, r1, q2, r2}
-            if len(seed) != 5:
-                continue  # the two triples share more than one point
-            closure = span(ts, seed, cap=7)
-            if len(closure) == 7:
-                found.add(tuple(sorted(closure)))
+        for pair_a, pair_b in combinations(spokes, 2):
+            plane = fano_plane(ts, p, pair_a, pair_b)
+            if plane is not None:
+                found.add(plane)
     return sorted(found)
-
-
-def enumerate_fano_bruteforce(ts) -> list:
-    """Oracle: test every 7-point subset for closure.  Only for small n."""
-    out = []
-    for pts in combinations(range(ts.n), 7):
-        if is_subsystem(ts, pts):
-            out.append(pts)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,6 @@ def build_qr(r: int) -> GadgetQ:
     )
 
 
-def build_q(n: int) -> GadgetQ:
-    """The gadget attached to an n-point system (4n + 10 points)."""
-    return build_qr(n)
-
-
 # ---------------------------------------------------------------------------
 # Attachment
 

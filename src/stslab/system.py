@@ -297,6 +297,28 @@ def is_subsystem(ts: _SystemBase, points: Iterable) -> bool:
     return span(ts, pts, cap=len(pts)) == pts
 
 
+def fano_plane(ts: _SystemBase, p: int, pair_a, pair_b) -> tuple | None:
+    """The PG(2, 2) holding the triples {p} + pair_a and {p} + pair_b, as a
+    sorted 7-tuple, or None when the system has none.
+
+    The two triples must be distinct triples of the system.  With
+    pair_a = (q1, r1) and pair_b = (q2, r2), the plane's other points are
+    s = q1q2 = r1r2 and t = q1r2 = r1q2, and st = p.  Those lookups find
+    all seven lines, so every pair of the result is covered inside it.
+    """
+    third = ts.incidence.third  # keys (a, b) with a < b, looked up inline: a hot loop
+    (q1, r1), (q2, r2) = pair_a, pair_b
+    s = third.get((q1, q2) if q1 < q2 else (q2, q1))
+    if s is None or s != third.get((r1, r2) if r1 < r2 else (r2, r1)):
+        return None
+    t = third.get((q1, r2) if q1 < r2 else (r2, q1))
+    if t is None or t != third.get((r1, q2) if r1 < q2 else (q2, r1)):
+        return None
+    if p != third.get((s, t) if s < t else (t, s)):
+        return None
+    return tuple(sorted((p, q1, r1, q2, r2, s, t)))
+
+
 def restrict(ts: _SystemBase, points: Iterable) -> tuple:
     """Induced system on a closed point set.
 

@@ -21,7 +21,7 @@ from stslab import (
     base_sts,
     boolean_space,
     bose,
-    build_q,
+    build_qr,
     check_property_44,
     choose_K,
     classify_fano,
@@ -49,7 +49,7 @@ from stslab import (
     yv_subsystem,
 )
 from stslab.constructions import UnsupportedEmbeddingError, ConstructionError
-from stslab.fano import enumerate_fano_bruteforce
+from fano_reference import enumerate_fano_bruteforce
 from stslab.perm import PermutationGroup
 from stslab.params import ADMISSIBLE_DELTAS
 from stslab.pstss import cyclic_pstss
@@ -242,8 +242,8 @@ def test_criterion_07_order_arithmetic():
 
 
 def test_criterion_08_gadgets():
-    rigid_ok = all(automorphism_group(build_q(n).system).order == 1 for n in (1, 2, 3, 4))
-    size_ok = all(build_q(n).n == 4 * n + 10 for n in (1, 2, 3, 4))
+    rigid_ok = all(automorphism_group(build_qr(n).system).order == 1 for n in (1, 2, 3, 4))
+    size_ok = all(build_qr(n).n == 4 * n + 10 for n in (1, 2, 3, 4))
     preserve_ok = True
     attach_size_ok = True
     for n_pts, triples in ((1, []), (2, []), (3, []), (3, [(0, 1, 2)])):

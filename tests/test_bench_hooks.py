@@ -1,27 +1,34 @@
-"""The benchmark's trace hooks name functions that exist in stslab.
+"""The benchmark's hooks into stslab still fit the library.
 
 `perfbench/tracing.py` wraps each name in its SPANS table by class or
 module dict.  A library refactor that renames or deletes one of them
 would otherwise only show up as a crash of `perfbench/run.py --trace 1`.
+
+The `closure` workload's jobs check planes and predicate verdicts with
+the benchmark's own oracles, which share no code with stslab, so one pass
+of it runs here too.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans() -> tuple:
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+def _load(monkeypatch, name: str):
+    """Import perfbench/<name>.py, registered for this test only."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
 
 
-def test_traced_names_exist():
+def test_traced_names_exist(monkeypatch):
     missing = []
-    for module, attr, *_ in _spans():
+    for module, attr, *_ in _load(monkeypatch, "tracing").SPANS:
         owner = importlib.import_module(f"stslab.{module}")
         *classes, name = attr.split(".")
         for cls in classes:
@@ -29,3 +36,15 @@ def test_traced_names_exist():
         if not callable(vars(owner).get(name)):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def test_closure_workload_pass(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "oracles", _load(monkeypatch, "oracles"))  # workloads imports it
+    workloads = _load(monkeypatch, "workloads")
+    state = {}
+    failures = {}
+    for job in workloads.setup_closure(1, str(tmp_path)):
+        message = job.check(job.run(state))
+        if message is not None:
+            failures[job.name] = message
+    assert not failures, failures

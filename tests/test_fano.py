@@ -1,25 +1,33 @@
 """Seven-point projective subsystems: enumeration, shapes, recognition."""
 
+import random
+import sys
+from itertools import combinations
+
 import pytest
 
-import stslab.fano
-import stslab.system
 from stslab import (
     ClassificationError,
     MooreInput,
+    PartialTripleSystem,
+    TripleSystem,
     all_vsf,
     base_sts,
     bose,
     classify_fano,
+    direct_product,
+    double,
     embed_subsystem,
     enumerate_fano,
+    is_pg2_paired,
+    is_pg2_pointed,
     is_subsystem,
     moore,
     pg_sts,
     recognize_subsystem,
     yv_subsystem,
 )
-from stslab.fano import enumerate_fano_bruteforce
+from fano_reference import enumerate_fano_bruteforce, enumerate_fano_by_span
 
 
 def _inp(x, y, v):
@@ -44,19 +52,26 @@ def test_pg3_fano_count():
     assert len(enumerate_fano(pg_sts(3))) == 15
 
 
-def test_enumerate_spans_each_seed_once(monkeypatch):
-    calls = []
-    real_span = stslab.system.span
+def test_planes_use_no_span(monkeypatch):
+    def no_span(*args, **kwargs):
+        raise AssertionError("span called")
 
-    def counting_span(*args, **kwargs):
-        calls.append(args)
-        return real_span(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stslab") and hasattr(module, "span"):
+            monkeypatch.setattr(module, "span", no_span)
+    pg3 = pg_sts(3)
+    assert len(enumerate_fano(pg3)) == 15
+    assert all(is_pg2_pointed(pg3, p) for p in range(pg3.n))
+    assert is_pg2_paired(pg3)
 
-    monkeypatch.setattr(stslab.fano, "span", counting_span)
-    monkeypatch.setattr(stslab.system, "span", counting_span)
-    assert len(enumerate_fano(pg_sts(3))) == 15
-    # one span per intersecting triple pair: 15 points x C(7, 2) line pairs
-    assert len(calls) == 15 * 21
+
+def test_partial_plane_missing_a_line_is_no_plane():
+    lines = list(pg_sts(2).iter_triples())
+    for missing in lines:
+        partial = PartialTripleSystem(7, [t for t in lines if t != missing])
+        assert enumerate_fano(partial) == []
+        assert enumerate_fano_bruteforce(partial) == []
+    assert enumerate_fano(PartialTripleSystem(7, lines)) == [tuple(range(7))]
 
 
 @pytest.mark.parametrize("ts", [pg_sts(2), bose(9), base_sts(13), pg_sts(3)])
@@ -71,6 +86,77 @@ def test_enumeration_on_product_matches_oracle():
     fast = enumerate_fano(u)
     assert fast == sorted(enumerate_fano_bruteforce(u))
     assert fast  # the slices alone contribute planes
+
+
+def _relabeled_pg5():
+    ts = pg_sts(5)
+    perm = list(range(ts.n))
+    random.Random(5).shuffle(perm)
+    return TripleSystem(ts.n, [[perm[x] for x in t] for t in ts.iter_triples()])
+
+
+@pytest.mark.parametrize(
+    "make,count",
+    [
+        (lambda: moore(_inp(3, 19, 9)), 144),
+        (lambda: moore(_inp(7, 31, 7)), 1103),
+        (_relabeled_pg5, 1395),  # the Gaussian binomial [6 choose 3]_2
+    ],
+    ids=["moore_3_19_9", "moore_7_31_7", "pg5_relabeled"],
+)
+def test_enumerate_matches_span_reference(make, count):
+    ts = make()
+    fast = enumerate_fano(ts)
+    assert len(fast) == count
+    assert fast == enumerate_fano_by_span(ts)
+
+
+# ---------------------------------------------------------------------------
+# plane predicates against the reference plane list
+
+
+def _lines_through(ts, p):
+    return [t for t in ts.iter_triples() if p in t]
+
+
+def _pointed_by_definition(ts, planes, p):
+    for la, lb in combinations(_lines_through(ts, p), 2):
+        if not any(set(la) | set(lb) <= set(plane) for plane in planes):
+            return False, (la, lb)
+    return True, None
+
+
+def _paired_by_definition(ts, planes):
+    for a, b in combinations(range(ts.n), 2):
+        if sum(a in plane and b in plane for plane in planes) < 2:
+            return False, (a, b)
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "make,n_planes,pointed,paired",
+    [
+        (lambda: double(bose(9)), 12, [18], False),
+        (lambda: direct_product(pg_sts(2), pg_sts(2)), 182, [], False),
+        (lambda: moore(_inp(1, 7, 3)), 3, [], False),
+        (lambda: double(double(base_sts(7))), 155, list(range(31)), True),
+    ],
+    ids=["double_bose9", "pg2_x_pg2", "moore_1_7_3", "double_double_7"],
+)
+def test_predicates_match_plane_definitions(make, n_planes, pointed, paired):
+    ts = make()
+    planes = enumerate_fano_by_span(ts)
+    assert len(planes) == n_planes
+    got_pointed = []
+    for p in range(ts.n):
+        verdict = is_pg2_pointed(ts, p, explain=True)
+        assert verdict == _pointed_by_definition(ts, planes, p)
+        if verdict[0]:
+            got_pointed.append(p)
+    assert got_pointed == pointed
+    verdict = is_pg2_paired(ts, explain=True)
+    assert verdict == _paired_by_definition(ts, planes)
+    assert verdict[0] is paired
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from stslab import (
     base_sts,
     bose,
     boolean_space,
-    build_q,
     build_qr,
     check_property_44,
     corollary46_build,
@@ -67,7 +66,7 @@ def test_gadget_rigid(r):
 
 def test_build_q_size_contract():
     for n in (1, 2, 3):
-        assert build_q(n).n == 4 * n + 10
+        assert build_qr(n).n == 4 * n + 10
 
 
 def test_gadget_anchor_degree():
