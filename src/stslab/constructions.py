@@ -191,26 +191,26 @@ def _is_projective_15(ts, points) -> bool:
 
 
 def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
-    """Any four points including p, q generate PG(2,2) or PG(3,2)."""
+    """Any four points including p, q generate PG(2,2) or PG(3,2).
+
+    A pair {x, y} inside a good closure S is skipped: its span is a
+    subspace of S with at least four points, so a plane or S itself, and
+    good either way.  The verdict and the first witness are unchanged.
+    """
     if ts.n <= 7:
         raise ConstructionError("PG(3,2)-2-pointedness needs more than 7 points")
     others = [r for r in range(ts.n) if r not in (p, q)]
-    verdicts: dict = {}
-    for i in range(len(others)):
-        for j in range(i + 1, len(others)):
-            closure = frozenset(span(ts, {p, q, others[i], others[j]}, cap=15))
-            good = verdicts.get(closure)
-            if good is None:
-                if len(closure) == 7:
-                    good = True
-                elif len(closure) == 15:
-                    good = _is_projective_15(ts, closure)
-                else:
-                    good = False
-                verdicts[closure] = good
-            if not good:
-                witness = (p, q, others[i], others[j])
-                return (False, witness) if explain else False
+    near = [set() for _ in range(ts.n)]  # r -> points sharing a good closure with r
+    for i, x in enumerate(others):
+        for y in others[i + 1:]:
+            if y in near[x]:
+                continue
+            closure = span(ts, {p, q, x, y}, cap=15)
+            if len(closure) == 7 or (len(closure) == 15 and _is_projective_15(ts, closure)):
+                for r in closure:
+                    near[r].update(closure)
+            else:
+                return (False, (p, q, x, y)) if explain else False
     return (True, None) if explain else True
 
 

@@ -4,9 +4,10 @@
 module dict.  A library refactor that renames or deletes one of them
 would otherwise only show up as a crash of `perfbench/run.py --trace 1`.
 
-The `closure` workload's jobs check planes and predicate verdicts with
-the benchmark's own oracles, which share no code with stslab, so one pass
-of it runs here too.
+The `closure` and `oracle` workloads' jobs check planes, predicate
+verdicts, group orders and isomorphism verdicts with the benchmark's own
+oracles, which share no code with stslab, so one pass of each runs here
+too.
 """
 
 import importlib
@@ -38,13 +39,24 @@ def test_traced_names_exist(monkeypatch):
     assert not missing, missing
 
 
-def test_closure_workload_pass(monkeypatch, tmp_path):
+def _run_workload(monkeypatch, tmp_path, setup_name: str) -> dict:
+    """Run each job of one workload pass once; job name -> its check's message."""
     monkeypatch.setitem(sys.modules, "oracles", _load(monkeypatch, "oracles"))  # workloads imports it
     workloads = _load(monkeypatch, "workloads")
     state = {}
     failures = {}
-    for job in workloads.setup_closure(1, str(tmp_path)):
+    for job in getattr(workloads, setup_name)(1, str(tmp_path)):
         message = job.check(job.run(state))
         if message is not None:
             failures[job.name] = message
+    return failures
+
+
+def test_closure_workload_pass(monkeypatch, tmp_path):
+    failures = _run_workload(monkeypatch, tmp_path, "setup_closure")
+    assert not failures, failures
+
+
+def test_oracle_workload_pass(monkeypatch, tmp_path):
+    failures = _run_workload(monkeypatch, tmp_path, "setup_oracle")
     assert not failures, failures

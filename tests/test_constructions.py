@@ -35,7 +35,10 @@ from stslab import (
     skolem,
     validate_sts,
 )
-from stslab.constructions import _moore_triples, random_sts
+from stslab import constructions
+from stslab.perm import PermutationGroup
+from stslab.constructions import _is_projective_15, _moore_triples, random_sts
+from stslab.system import span
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +113,58 @@ def test_pg3_2pointed_on_double_double():
     pairs = [(0, 1), (0, dd.n - 1), (3, 10)]
     for p, q in pairs:
         assert is_pg3_2pointed(dd, p, q)
+
+
+def _pg3_2pointed_every_pair(ts, p, q):
+    """The loop without the skip: every pair spanned, verdicts cached by closure."""
+    others = [r for r in range(ts.n) if r not in (p, q)]
+    verdicts = {}
+    for i in range(len(others)):
+        for j in range(i + 1, len(others)):
+            closure = span(ts, {p, q, others[i], others[j]}, cap=15)
+            good = verdicts.get(closure)
+            if good is None:
+                good = len(closure) == 7 or (
+                    len(closure) == 15 and _is_projective_15(ts, closure)
+                )
+                verdicts[closure] = good
+            if not good:
+                return (False, (p, q, others[i], others[j]))
+    return (True, None)
+
+
+def _counting_span(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return span(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "span", counted)
+    return calls
+
+
+def test_pg3_2pointed_spans_each_closure_once(monkeypatch):
+    dd = double(double(base_sts(13)))  # apexes 26 (inner) and 54 (outer)
+    calls = _counting_span(monkeypatch)
+    assert is_pg3_2pointed(dd, 26, 54)
+    assert len(calls) <= 30  # 1,378 without the skip
+
+
+@pytest.mark.parametrize(
+    "make, p, q",
+    [
+        (lambda: double(double(base_sts(13))), 26, 54),
+        (lambda: double(double(base_sts(13))), 40, 13),  # fails at the 54th pair
+        (lambda: double(double(base_sts(9))), 9, 19),
+        (lambda: double(double(base_sts(7))), 0, 30),
+        (lambda: pg_sts(4), 0, 1),
+        (lambda: double(base_sts(15)), 30, 0),
+    ],
+)
+def test_pg3_2pointed_matches_every_pair_loop(make, p, q):
+    ts = make()
+    assert is_pg3_2pointed(ts, p, q, explain=True) == _pg3_2pointed_every_pair(ts, p, q)
 
 
 def test_pg2_paired_on_pg3():
@@ -198,6 +253,19 @@ def test_lift_v_automorphism_exact():
     for gen in g.generators:
         lifted = lift_v_automorphism(inp, gen)
         assert is_automorphism(u, lifted)
+
+
+@pytest.mark.parametrize("x, y, v, order", [(3, 19, 9, 432), (7, 31, 7, 168)])
+def test_aut_of_product_is_the_lifted_aut_v(x, y, v, order):
+    inp = _inp(x, y, v)
+    u = moore(inp)
+    assert u.n in (147, 175)
+    aut_u = automorphism_group(u)
+    aut_v = automorphism_group(inp.v)
+    lifts = [lift_v_automorphism(inp, g) for g in aut_v.generators]
+    assert all(p in aut_u for p in lifts)
+    lifted = PermutationGroup.from_generators(u.n, lifts)
+    assert aut_u.order == lifted.order == aut_v.order == order
 
 
 def test_moore_variant_sigma_validates():

@@ -1,0 +1,100 @@
+"""The search's starting coloring and what the search reports about itself."""
+
+import random
+
+import pytest
+
+from stslab import (
+    MooreInput,
+    PartialTripleSystem,
+    automorphism_group,
+    base_sts,
+    embed_subsystem,
+    moore,
+)
+from stslab import search
+from stslab.constructions import random_sts
+from stslab.search import BudgetExceededError, _canonical_labeling, _SearchData
+
+
+def _moore(x, y, v):
+    ysys, xset = embed_subsystem(x, y)
+    return moore(MooreInput.build(ysys, xset, base_sts(v)))
+
+
+def _seed(ts) -> list:
+    return _SearchData(ts).seed
+
+
+SEEDED = {
+    "random15": lambda: random_sts(15, random.Random(1)),
+    "random19": lambda: random_sts(19, random.Random(2)),
+    "moore_1_7_3": lambda: _moore(1, 7, 3),
+    "moore_3_9_7": lambda: _moore(3, 9, 7),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seed_is_invariant_under_relabeling(name):
+    ts = SEEDED[name]()
+    seed = _seed(ts)
+    assert len(set(seed)) > 1  # the seed splits these systems
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(ts.n))
+        rng.shuffle(perm)
+        other = type(ts).from_triples(
+            ts.n, [tuple(perm[p] for p in t) for t in ts.iter_triples()]
+        )
+        relabeled = _seed(other)
+        assert [relabeled[perm[p]] for p in range(ts.n)] == seed
+
+
+def test_partial_system_starts_from_zeros():
+    partial = PartialTripleSystem.from_triples(9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)])
+    assert _seed(partial) == [0] * 9
+
+
+@pytest.mark.parametrize("n, seed", [(19, 0), (21, 0), (27, 0)])
+def test_rigid_random_systems_need_few_nodes(n, seed):
+    ts = random_sts(n, random.Random(seed))
+    canon = _canonical_labeling(ts)
+    assert canon.stats.refine_calls <= 2  # 5,834 / 8,002 / 17,578 from all zeros
+    assert canon.stats.seed_points == n
+    assert canon.automorphisms == []  # rigid, as the search from all zeros finds too
+
+
+def test_budget_error_reports_progress():
+    u = _moore(3, 19, 9)  # 147 points, |Aut| = 432
+    canon = _canonical_labeling(u, budget=500)  # seeded: 147 points + 13 nodes
+    full = canon.stats
+    assert full.seed_points == 147 and full.refine_calls > 2
+    # each automorphism comes from a leaf after the first; symmetric
+    # siblings of explored children are pruned
+    assert len(canon.automorphisms) < full.leaves < full.refine_calls
+    assert full.pruned > 0
+
+    with pytest.raises(BudgetExceededError) as err:
+        _canonical_labeling(u, budget=147 + full.refine_calls - 1)
+    stats = err.value.stats
+    assert stats.seed_points == 147
+    assert stats.refine_calls == full.refine_calls - 1
+    assert 1 <= stats.max_depth <= full.max_depth
+    assert 0 <= err.value.automorphisms < len(canon.automorphisms)
+    message = str(err.value)
+    assert f"{stats.refine_calls} nodes visited" in message
+    assert f"depth {stats.max_depth}" in message
+    assert f"{err.value.automorphisms} automorphisms found" in message
+
+
+def test_small_budget_stops_the_seed(monkeypatch):
+    u = _moore(3, 19, 9)
+    with pytest.raises(BudgetExceededError) as err:
+        _canonical_labeling(u, budget=1)
+    assert err.value.stats.seed_points == 1
+    assert err.value.stats.refine_calls == 0
+
+    monkeypatch.setenv(search.BUDGET_ENV_VAR, "3")
+    with pytest.raises(BudgetExceededError) as err:
+        automorphism_group(u)
+    assert err.value.stats.seed_points == 3
