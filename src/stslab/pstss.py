@@ -219,20 +219,21 @@ class BooleanSpace:
 
     def triples_array(self) -> np.ndarray:
         """All (mask-1) index triples {a, b, a xor b}, rows sorted, in
-        lexicographic order."""
+        lexicographic order; one block per top bit h of a, whose partners
+        b > a with a xor b > b are the b >= 2^(h+1) with bit h clear."""
         n = self.n
-        chunks = []
-        for a in range(1, n + 1):
-            b = np.arange(a + 1, n + 1, dtype=np.int32)
-            c = np.bitwise_xor(b, np.int32(a))
-            keep = c > b
-            b, c = b[keep], c[keep]
-            rows = np.empty((b.size, 3), dtype=np.int32)
-            rows[:, 0] = a - 1
-            rows[:, 1] = b - 1
-            rows[:, 2] = c - 1
-            chunks.append(rows)
-        return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+        out = np.empty((n * (n - 1) // 6, 3), dtype=np.int32)
+        lo = 0
+        for h in range(self.n_prime - 1):
+            a = np.arange(1 << h, 2 << h, dtype=np.int32)[:, None]
+            b = np.arange(2 << h, n + 1, dtype=np.int32)
+            b = b[(b >> h) & 1 == 0]
+            block = out[lo : lo + a.size * b.size].reshape(a.size, b.size, 3)
+            block[..., 0] = a - 1
+            block[..., 1] = b - 1
+            block[..., 2] = (a ^ b) - 1
+            lo += a.size * b.size
+        return out
 
     def system(self) -> TripleSystem:
         return TripleSystem(self.n, self.triples_array())

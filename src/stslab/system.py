@@ -180,38 +180,27 @@ def _pair_codes(triples: np.ndarray, n: int) -> np.ndarray:
 _CHUNK = 1 << 21
 
 
-def _scan_pair_coverage(ts: _SystemBase) -> tuple:
-    """Return (duplicate pair list (possibly truncated), covered-pair count).
+def _scan_pair_coverage(ts: _SystemBase) -> int:
+    """The number of distinct pair codes a*n+b of the triples: 3m exactly
+    when no pair is listed twice (a row with a repeated point lists one).
 
-    Memory-bounded: uses a bitmap of n^2 bits, processing triples in chunks,
-    unless the 3m pair codes are smaller than the bitmap; then the sorted
-    codes are compared with their neighbours.
+    Marks the codes in an n*n boolean map, a chunk of rows at a time, and
+    counts the marks; sorts the codes instead when they take fewer bytes.
     """
     n = ts.n
     m = ts.n_triples
-    bitmap_bytes = (n * n + 7) // 8
-    if 3 * m * (4 if n <= 65535 else 8) < bitmap_bytes:
+    if 3 * m * (4 if n <= 65535 else 8) < n * n:
         codes = np.sort(_pair_codes(ts.triples, n))
-        repeat = codes[1:] == codes[:-1]
-        dupes = np.unique(codes[1:][repeat])[:20].tolist()
-        return dupes, len(codes) - int(np.count_nonzero(repeat))
-    bitmap = np.zeros(bitmap_bytes, dtype=np.uint8)
-    dupes = []
-    covered = 0
+        return codes.size - int(np.count_nonzero(codes[1:] == codes[:-1]))
+    seen = np.zeros(n * n, dtype=bool)
     for lo in range(0, m, _CHUNK):
-        chunk = ts.triples[lo : lo + _CHUNK]
-        codes = _pair_codes(chunk, n)
-        uniq, counts = np.unique(codes, return_counts=True)
-        for code in uniq[counts > 1][:20]:
-            dupes.append(int(code))
-        idx = (uniq >> 3).astype(np.int64)
-        bit = np.left_shift(1, (uniq & 7).astype(np.uint8)).astype(np.uint8)
-        seen = (bitmap[idx] & bit) != 0
-        for code in uniq[seen][:20]:
-            dupes.append(int(code))
-        covered += int(len(uniq)) - int(np.count_nonzero(seen))
-        np.bitwise_or.at(bitmap, idx, bit)
-    return dupes, covered
+        a, b, c = (ts.triples[lo : lo + _CHUNK, i].astype(np.intp) for i in range(3))
+        a *= n
+        seen[a + b] = True
+        seen[a + c] = True
+        b *= n
+        seen[b + c] = True
+    return int(np.count_nonzero(seen))
 
 
 def _structural_violations(ts: _SystemBase) -> list:
@@ -228,40 +217,47 @@ def _structural_violations(ts: _SystemBase) -> list:
     return bad
 
 
+def _duplicate_pair_violations(ts: _SystemBase) -> list:
+    """One message for each of the first 20 pairs that two triples cover."""
+    codes = np.sort(_pair_codes(ts.triples, ts.n))
+    dupes = np.unique(codes[1:][codes[1:] == codes[:-1]])[:20]
+    return [f"pair {divmod(int(code), ts.n)} covered twice" for code in dupes]
+
+
 def validate_pstss(ps: _SystemBase) -> ValidationReport:
-    """Check the partial-system axiom: each pair in at most one triple."""
-    violations = _structural_violations(ps)
-    if not violations:
-        dupes, _ = _scan_pair_coverage(ps)
-        for code in dupes:
-            a, b = divmod(code, ps.n)
-            violations.append(f"pair ({a}, {b}) covered twice")
-    return ValidationReport(not violations, tuple(violations))
+    """Check the partial-system axiom: each pair in at most one triple.
+
+    The check is the count of distinct pair codes; the violations are
+    named only when it is short.
+    """
+    if _scan_pair_coverage(ps) == 3 * ps.n_triples:
+        return ValidationReport(True)
+    violations = _structural_violations(ps) or _duplicate_pair_violations(ps)
+    return ValidationReport(False, tuple(violations))
 
 
 def validate_sts(ts: _SystemBase) -> ValidationReport:
-    """Check the full axioms: each pair in exactly one triple, admissible size."""
+    """Check the full axioms: each pair in exactly one triple, admissible size.
+
+    n(n-1)/6 triples with distinct pair codes cover all pairs, so the check
+    is the size rules and the code count; violations are named on failure.
+    """
     n = ts.n
-    violations = list(_structural_violations(ts))
+    m = ts.n_triples
+    want = n * (n - 1) // 6
+    sized = m == 0 if n in (0, 1) else n % 6 in (1, 3) and m == want
+    if sized and _scan_pair_coverage(ts) == 3 * m:
+        return ValidationReport(True)
+    violations = _structural_violations(ts)
     if n in (0, 1):
-        if ts.n_triples:
-            violations.append(f"degenerate system on {n} points must have no triples")
-        return ValidationReport(not violations, tuple(violations))
+        violations.append(f"degenerate system on {n} points must have no triples")
+        return ValidationReport(False, tuple(violations))
     if n % 6 not in (1, 3):
         violations.append(f"{n} points is inadmissible (need n = 1 or 3 mod 6)")
-    want = n * (n - 1) // 6
-    if ts.n_triples != want:
-        violations.append(f"triple count {ts.n_triples}, expected {want}")
-    if not violations:
-        dupes, covered = _scan_pair_coverage(ts)
-        for code in dupes:
-            a, b = divmod(code, n)
-            violations.append(f"pair ({a}, {b}) covered twice")
-        if not dupes and covered != n * (n - 1) // 2:
-            # count + distinctness normally implies full coverage; keep the
-            # direct check so a bad bitmap scan can never pass silently
-            violations.append(f"only {covered} of {n * (n - 1) // 2} pairs covered")
-    return ValidationReport(not violations, tuple(violations))
+    if m != want:
+        violations.append(f"triple count {m}, expected {want}")
+    violations = violations or _duplicate_pair_violations(ts)
+    return ValidationReport(False, tuple(violations))
 
 
 def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:

@@ -23,9 +23,12 @@ from stslab import (
     boolean_space,
     bose,
     canonical_form,
+    embed_subsystem,
     enumerate_fano,
     is_automorphism,
     is_subsystem,
+    MooreInput,
+    moore,
     pg_sts,
     read_system,
     replace_triples,
@@ -84,6 +87,134 @@ def test_validate_pstss_examples():
     assert validate_pstss(c.system).ok
     degs = c.system.degrees()
     assert set(int(d) for d in degs) == {1, 2}
+
+
+def test_valid_systems_never_run_the_diagnostics(monkeypatch):
+    """A valid system is decided by the pair count alone; the code that
+    names violations runs only when a system fails."""
+
+    def diagnose(ts):
+        raise AssertionError("diagnostics ran on a valid system")
+
+    ysys, xset = embed_subsystem(1, 7)
+    product = moore(MooreInput.build(ysys, xset, base_sts(3)))
+    replaced = replace_triples(boolean_space(10), cyclic_pstss(5).system).system
+    monkeypatch.setattr(stslab.system, "_structural_violations", diagnose)
+    monkeypatch.setattr(stslab.system, "_duplicate_pair_violations", diagnose)
+    for ts in (pg_sts(3), product, replaced):
+        assert validate_sts(ts) == stslab.system.ValidationReport(True)
+    assert validate_pstss(cyclic_pstss(5).system) == stslab.system.ValidationReport(True)
+
+
+def _reference_report(ts, full: bool) -> tuple:
+    """(ok, violations) with the library's messages, from Python sets over
+    ts.triples: rows with a repeated point, rows listed twice (the rows are
+    in lexicographic order), and the first 20 pairs that two triples cover."""
+    rows = [tuple(r) for r in ts.triples.tolist()]
+    n = ts.n
+    structural = [f"triple {r} has repeated points" for r in rows if len(set(r)) < 3][:20]
+    structural += [f"triple {r} listed twice" for q, r in zip(rows, rows[1:]) if q == r][:20]
+    seen, twice = set(), set()
+    for a, b, c in rows:
+        for pair in ((a, b), (a, c), (b, c)):
+            (twice if pair in seen else seen).add(pair)
+    pairs = [f"pair {pair} covered twice" for pair in sorted(twice)[:20]]
+    if not full:
+        violations = structural or pairs
+    elif n in (0, 1):
+        violations = structural + (
+            [f"degenerate system on {n} points must have no triples"] if rows else []
+        )
+    else:
+        violations = list(structural)
+        if n % 6 not in (1, 3):
+            violations.append(f"{n} points is inadmissible (need n = 1 or 3 mod 6)")
+        if len(rows) != n * (n - 1) // 6:
+            violations.append(f"triple count {len(rows)}, expected {n * (n - 1) // 6}")
+        violations = violations or pairs
+    return not violations, tuple(violations)
+
+
+def _faults(n: int, rows: list) -> dict:
+    """One copy of rows per fault: a repeated point, a row listed twice,
+    a pair covered twice (which also leaves a pair uncovered), a missing
+    triple and an extra triple."""
+    a, b, c = rows[0]
+    d = next(p for p in range(n) if p not in rows[0])
+    return {
+        "clean": rows,
+        "repeated point": [(a, a, c)] + rows[1:],
+        "row twice": rows + [rows[-1]],
+        "pair twice": [(a, b, d)] + rows[1:],
+        "missing triple": rows[1:],
+        "extra triple": rows + [(a, b, d)],
+    }
+
+
+_PG3 = [tuple(t) for t in pg_sts(3).triples.tolist()]
+_SPARSE = [(0, 1, 2), (3, 4, 5), (0, 3, 6), (7, 8, 9), (1, 4, 7)]
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (15, _PG3),  # 3m pair codes outweigh the n*n map: the map is counted
+        (200, _SPARSE),  # the codes are lighter than the map: they are sorted
+        (70_000, [(p, q, r + 69_990) for p, q, r in _SPARSE]),  # int64 codes
+        (31, [tuple(t) for t in pg_sts(4).triples.tolist()][:20] + [(0, 1, 30)] * 25),  # 20 named
+        (50, [(k, k + 1, k + 2) for k in range(40)]),  # 39 pairs twice: 20 named
+        (20, [(k, k + 1, k + 2) for k in range(18)] + [(k, k + 2, k + 4) for k in range(16)]),
+    ],
+)
+def test_validation_matches_set_reference(n, rows):
+    for fault, faulty in _faults(n, rows).items():
+        for cls, validate, full in (
+            (PartialTripleSystem, validate_pstss, False),
+            (TripleSystem, validate_sts, True),
+        ):
+            ts = cls(n, faulty)
+            report = validate(ts)
+            assert (report.ok, report.violations) == _reference_report(ts, full), (fault, cls)
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (13, [tuple(t) for t in base_sts(13).triples.tolist()][1:]),  # wrong count
+        (14, [(0, 1, 2)]),  # inadmissible
+        (5, []),
+        (0, []),
+        (1, []),
+        (1, [(0, 0, 0)]),
+        (3, [(0, 1, 2)]),
+        (3, [(0, 1, 2), (0, 1, 2)]),
+        (7, [(0, 1, 2)] * 7),
+    ],
+)
+def test_validate_sts_sizes_match_set_reference(n, rows):
+    ts = TripleSystem(n, rows)
+    report = validate_sts(ts)
+    assert (report.ok, report.violations) == _reference_report(ts, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=13).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(*[st.integers(0, max(n - 1, 0))] * 3), max_size=30 if n else 0),
+        )
+    )
+)
+def test_validation_matches_set_reference_random(case):
+    n, rows = case
+    for cls, validate, full in (
+        (PartialTripleSystem, validate_pstss, False),
+        (TripleSystem, validate_sts, True),
+    ):
+        ts = cls(n, rows)
+        report = validate(ts)
+        assert (report.ok, report.violations) == _reference_report(ts, full)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from stslab import (
     recognize_subsystem,
     yv_subsystem,
 )
-from fano_reference import enumerate_fano_bruteforce, enumerate_fano_by_span
+from fano_reference import _combinations, enumerate_fano_bruteforce, enumerate_fano_by_span
 
 
 def _inp(x, y, v):
@@ -72,6 +72,14 @@ def test_partial_plane_missing_a_line_is_no_plane():
         assert enumerate_fano(partial) == []
         assert enumerate_fano_bruteforce(partial) == []
     assert enumerate_fano(PartialTripleSystem(7, lines)) == [tuple(range(7))]
+
+
+def test_bruteforce_subsets_are_every_combination():
+    for n in range(11):
+        for k in range(1, 8):
+            assert [tuple(r) for r in _combinations(n, k).tolist()] == list(
+                combinations(range(n), k)
+            )
 
 
 @pytest.mark.parametrize("ts", [pg_sts(2), bose(9), base_sts(13), pg_sts(3)])

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from stslab import (
@@ -101,6 +102,32 @@ def test_boolean_space_is_pg():
     sp = boolean_space(4)
     assert sp.system() == pg_sts(3)
     assert validate_sts(sp.system()).ok
+
+
+def _triples_array_loop(n: int) -> np.ndarray:
+    """The Boolean space's rows built one point a at a time: b > a with
+    a xor b > b."""
+    chunks = []
+    for a in range(1, n + 1):
+        b = np.arange(a + 1, n + 1, dtype=np.int32)
+        c = np.bitwise_xor(b, np.int32(a))
+        keep = c > b
+        b, c = b[keep], c[keep]
+        rows = np.empty((b.size, 3), dtype=np.int32)
+        rows[:, 0] = a - 1
+        rows[:, 1] = b - 1
+        rows[:, 2] = c - 1
+        chunks.append(rows)
+    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+
+
+@pytest.mark.parametrize("n_prime", range(1, 13))
+def test_triples_array_matches_loop(n_prime):
+    sp = boolean_space(n_prime)
+    got = sp.triples_array()
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert got.shape == (sp.n * (sp.n - 1) // 6, 3)
+    assert np.array_equal(got, _triples_array_loop(sp.n))
 
 
 def test_replace_triples_valid_and_audited():
