@@ -283,10 +283,10 @@ class CyclicLabeling:
             problems.append("strict generator condition flagged but violated")
         third = y.incidence.third
         m = self.m
+        point_of = self.point_of
 
         def is_anchor_triple(w):  # {w, w + m/2, y_star} is a triple of Y
-            a, b = sorted((self.point_of[w], self.point_of[(w + m // 2) % m]))
-            return third.get((a, b)) == self.point_of[self.y_star]
+            return third[point_of[w]][point_of[(w + m // 2) % m]] == point_of[self.y_star]
 
         if self.p7b_anchor and not is_anchor_triple(0):
             problems.append("anchor triple {1, -1, y_star} is not a triple of Y")

@@ -129,7 +129,7 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
     if len(by_v) != 3 or any(len(aa) != 2 for aa in by_v.values()):
         return None
     v_triple = tuple(sorted(by_v))
-    if inp.v.incidence.third.get(v_triple[:2]) != v_triple[2]:
+    if inp.v.incidence.third[v_triple[0]][v_triple[1]] != v_triple[2]:
         return None
     # each slice must hold a pair {a, a + m/2} (negation by the unique
     # involution) whose Y-triple passes through x
@@ -140,8 +140,7 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
         a1, a2 = by_v[v]
         if (a1 - a2) % m != m // 2:
             return None
-        pair = tuple(sorted((inp.labeling.point_of[a1], inp.labeling.point_of[a2])))
-        if y_third.get(pair) != x_y_point:
+        if y_third[inp.labeling.point_of[a1]][inp.labeling.point_of[a2]] != x_y_point:
             return None
         choices.append((a1, a2))
     # a sign choice with zero sum exists (epsilon_1 epsilon_2 epsilon_3 = 1)

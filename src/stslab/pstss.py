@@ -502,6 +502,8 @@ def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
     from .system import is_subsystem
 
     v1 = frozenset(v1)
+    if any(not 0 <= x < v.n for x in v1):
+        raise PstssError(f"v1 points must lie in 0..{v.n - 1}")
     if not is_subsystem(v, v1):
         raise PstssError("v1 is not a closed subsystem")
     if v1 == frozenset(range(v.n)):

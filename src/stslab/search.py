@@ -89,20 +89,20 @@ def _cycle_seed(n: int, inc, charge) -> list:
     For a pair {a, b} on the triple {a, b, c}, x -> third(b, third(a, x))
     permutes V - {a, b, c}; its sorted cycle lengths are the pair's cycle
     type.  A point's color is the rank of the sorted multiset of the cycle
-    types of its pairs.  A system that does not cover every pair exactly
-    once gets all zeros.  `charge` runs before each point's pairs are walked.
+    types of its pairs.  `charge` runs before each point's pairs are walked.
+    A system gets all zeros unless it covers every pair exactly once.  With
+    3m = n(n-1)/2 that holds iff each row of `inc.third` holds one -1: the
+    m triples write at most 6m = n(n-1) cells, so all of them distinct.
     """
-    if not len(inc.third) == 3 * len(inc.triples) == n * (n - 1) // 2:
+    third = inc.third
+    if 3 * len(inc.triples) != n * (n - 1) // 2 or any(row.count(-1) != 1 for row in third):
         return [0] * n
-    rows = [[p] * n for p in range(n)]  # rows[a][x]: third point of {a, x}
-    for (a, b), c in inc.third.items():
-        rows[a][b] = rows[b][a] = c
     types: dict = {}  # cycle type -> both points of each pair of that type
     for a in range(n):
         charge()
-        ta = rows[a]
+        ta = third[a]
         for b in range(a + 1, n):
-            tb = rows[b]
+            tb = third[b]
             seen = [False] * n
             seen[a] = seen[b] = seen[ta[b]] = True
             lengths = []
@@ -198,12 +198,11 @@ def _target_color(colors: tuple):
     return None if best is None else best[1]
 
 
-def _maps_into(triples, third: dict, p) -> bool:
-    """True iff p sends every triple of `triples` to a triple of the system
-    whose pair-to-third map is `third`."""
+def _maps_into(triples, third: tuple, p) -> bool:
+    """True iff the permutation p sends every triple of `triples` to a
+    triple of the system whose third-point table is `third`."""
     for a, b, c in triples:
-        x, y, z = sorted((p[a], p[b], p[c]))
-        if third.get((x, y)) != z:
+        if third[p[a]][p[b]] != p[c]:
             return False
     return True
 

@@ -78,12 +78,12 @@ class VerificationError(RuntimeError):
 class Incidence(NamedTuple):
     """Python views of a system's triples, built once per system.
 
-    A sorted triple (a, b, c) is a triple of the system iff
-    third.get((a, b)) == c.
+    third[a][b] == third[b][a] is the third point of the triple on {a, b},
+    and -1 on the diagonal and on every pair that no triple covers.
     """
 
     triples: tuple  # sorted int 3-tuples, in row order
-    third: dict  # (a, b) with a < b -> third point of the triple on {a, b}
+    third: tuple  # n rows of n ints: the third-point table above
     pairs: tuple  # per point p: the pairs (q, r), q < r, with {p, q, r} a triple
 
 
@@ -118,21 +118,22 @@ class _SystemBase:
         read) never builds it.
         """
         triples = tuple(map(tuple, self.triples.tolist()))
-        third = {}
+        third = [[-1] * self.n for _ in range(self.n)]
         pairs = [[] for _ in range(self.n)]
         for a, b, c in triples:
-            third[a, b], third[a, c], third[b, c] = c, b, a
+            ta, tb, tc = third[a], third[b], third[c]
+            ta[b] = tb[a] = c
+            ta[c] = tc[a] = b
+            tb[c] = tc[b] = a
             pairs[a].append((b, c))
             pairs[b].append((a, c))
             pairs[c].append((a, b))
-        return Incidence(triples, third, tuple(map(tuple, pairs)))
-
-    def triple_set(self) -> set:
-        return set(self.incidence.triples)
+        return Incidence(triples, tuple(map(tuple, third)), tuple(map(tuple, pairs)))
 
     def pair_third(self) -> dict:
         """Map each covered pair (a, b) with a < b to the third point (a copy)."""
-        return dict(self.incidence.third)
+        third, rows = self.incidence.third, self.incidence.triples
+        return {(x, y): third[x][y] for a, b, c in rows for x, y in ((a, b), (a, c), (b, c))}
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.triples.ravel(), minlength=self.n)
@@ -274,12 +275,10 @@ def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:
         new = []
         pts = sorted(current)
         for p in frontier:
+            row = third[p]
             for q in pts:
-                if q == p:
-                    continue
-                key = (p, q) if p < q else (q, p)
-                r = third.get(key)
-                if r is not None and r not in current:
+                r = row[q]
+                if r >= 0 and r not in current:
                     current.add(r)
                     new.append(r)
                     if cap is not None and len(current) > cap:
@@ -302,15 +301,15 @@ def fano_plane(ts: _SystemBase, p: int, pair_a, pair_b) -> tuple | None:
     s = q1q2 = r1r2 and t = q1r2 = r1q2, and st = p.  Those lookups find
     all seven lines, so every pair of the result is covered inside it.
     """
-    third = ts.incidence.third  # keys (a, b) with a < b, looked up inline: a hot loop
+    third = ts.incidence.third
     (q1, r1), (q2, r2) = pair_a, pair_b
-    s = third.get((q1, q2) if q1 < q2 else (q2, q1))
-    if s is None or s != third.get((r1, r2) if r1 < r2 else (r2, r1)):
+    s = third[q1][q2]
+    if s < 0 or s != third[r1][r2]:
         return None
-    t = third.get((q1, r2) if q1 < r2 else (r2, q1))
-    if t is None or t != third.get((r1, q2) if r1 < q2 else (q2, r1)):
+    t = third[q1][r2]
+    if t < 0 or t != third[r1][q2]:
         return None
-    if p != third.get((s, t) if s < t else (t, s)):
+    if p != third[s][t]:
         return None
     return tuple(sorted((p, q1, r1, q2, r2, s, t)))
 

@@ -184,11 +184,12 @@ def test_embed_pstss_cor47(tmp_path, capsys):
     assert code == EXIT_OK
     assert read_system(out).n == 13
     # a non-closed subsystem is a validation failure
-    code = _run(
-        "embed-pstss", "--mode", "cor47", "--input", str(v), "--v1", "0,1",
-        "--output", str(tmp_path / "x.pstss"),
-    )
-    assert code == EXIT_VALIDATION
+    for v1 in ("0,1", "0,1,2,9", "0,1,2,-1"):  # not closed, or not points of v
+        code = _run(
+            "embed-pstss", "--mode", "cor47", "--input", str(v), "--v1", v1,
+            "--output", str(tmp_path / "x.pstss"),
+        )
+        assert code == EXIT_VALIDATION
     capsys.readouterr()
 
 

@@ -328,6 +328,10 @@ def test_incidence_built_once_per_instance():
 def test_pair_third_returns_a_copy():
     ts = pg_sts(3)
     third = ts.pair_third()
+    expected = {}
+    for a, b, c in ts.iter_triples():
+        expected[a, b], expected[a, c], expected[b, c] = c, b, a
+    assert third == expected and list(third) == list(expected)
     third[(0, 1)] = 7
     third.pop((0, 2))
     assert span(ts, {0, 1}) == frozenset({0, 1, 2})
@@ -348,13 +352,22 @@ def test_incidence_agrees_with_rows(system):
     inc = system.incidence
     rows = [tuple(int(x) for x in row) for row in system.triples]
     assert list(inc.triples) == rows
-    assert len(inc.third) == 3 * system.n_triples
+    third = inc.third
+    assert len(third) == system.n and all(len(row) == system.n for row in third)
+    covered = set()
     for a, b, c in rows:
-        assert (inc.third[a, b], inc.third[a, c], inc.third[b, c]) == (c, b, a)
+        assert (third[a][b], third[a][c], third[b][c]) == (c, b, a)
+        assert (third[b][a], third[c][a], third[c][b]) == (c, b, a)
+        covered |= {(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)}
+    for p in range(system.n):
+        for q in range(system.n):
+            if (p, q) not in covered:
+                assert third[p][q] == -1  # the diagonal and every uncovered pair
+    assert sum(x >= 0 for row in third for x in row) == 6 * system.n_triples
     assert [len(spokes) for spokes in inc.pairs] == list(system.degrees())
     for p, spokes in enumerate(inc.pairs):
         for q, r in spokes:
-            assert q < r and inc.third[min(p, q), max(p, q)] == r
+            assert q < r and third[p][q] == third[q][p] == r
 
 
 def test_array_path_never_builds_incidence(tmp_path):
@@ -627,7 +640,7 @@ def test_iso_certificate_verified_mapping():
     b = _relabel(bose(9), perm)
     cert = are_isomorphic(bose(9), b)
     assert cert.isomorphic
-    triples_b = b.triple_set()
+    triples_b = set(b.incidence.triples)
     for t in bose(9).iter_triples():
         assert tuple(sorted(cert.mapping[p] for p in t)) in triples_b
 

@@ -189,5 +189,5 @@ def test_iso_verdict_matches_vf2(pair):
     cert = are_isomorphic(a, b)
     assert cert.isomorphic == _vf2_isomorphic(a, b)
     if cert.isomorphic:
-        target = b.triple_set()
+        target = set(b.incidence.triples)
         assert all(tuple(sorted(cert.mapping[p] for p in t)) in target for t in a.iter_triples())

@@ -15,6 +15,7 @@ from stslab import (
 from stslab import search
 from stslab.constructions import random_sts
 from stslab.search import BudgetExceededError, _canonical_labeling, _SearchData
+from stslab.system import VerificationError, validate_pstss
 
 
 def _moore(x, y, v):
@@ -50,9 +51,20 @@ def test_seed_is_invariant_under_relabeling(name):
         assert [relabeled[perm[p]] for p in range(ts.n)] == seed
 
 
-def test_partial_system_starts_from_zeros():
-    partial = PartialTripleSystem.from_triples(9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)])
-    assert _seed(partial) == [0] * 9
+@pytest.mark.parametrize(
+    "partial",
+    [
+        PartialTripleSystem(9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)]),
+        # 3m = n(n-1)/2 = 6, but the pair {0, 1} is listed twice and {2, 3} never
+        PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)]),
+    ],
+    ids=["uncovered", "pair_twice"],
+)
+def test_partial_system_starts_from_zeros(partial):
+    assert _seed(partial) == [0] * partial.n
+    if not validate_pstss(partial).ok:  # no labeling keeps a pair listed twice
+        with pytest.raises(VerificationError):
+            automorphism_group(partial)
 
 
 @pytest.mark.parametrize("n, seed", [(19, 0), (21, 0), (27, 0)])
