@@ -18,13 +18,13 @@ import numpy as np
 
 from .search import automorphism_group
 from .system import (
+    InvalidSystemError,
     PointSet,
     TripleSystem,
     VerificationError,
     fano_plane,
     is_subsystem,
     span,
-    validate_sts,
 )
 
 
@@ -645,12 +645,8 @@ def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
     def pt(cls_, b):
         return 1 + (cls_ - 1) * w + b
 
-    anchor = 0  # point of s mapped onto the new point
+    anchor = 0  # point of s mapped onto the new point; it lies in k triples
     spokes = s.incidence.pairs[anchor]
-    if len(spokes) != k:
-        raise ConstructionError(
-            f"point {anchor} of s lies in {len(spokes)} triples, blocks have size {k}"
-        )
 
     triples = set()
     for b in range(w):
@@ -663,14 +659,13 @@ def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
         for t in s.iter_triples():
             img = tuple(sorted(mapping[p] for p in t))
             triples.add(img)
-    out = TripleSystem.from_triples(2 * w + 1, sorted(triples))
-    report = validate_sts(out)
-    if not report.ok:
+    try:
+        return TripleSystem.from_triples(2 * w + 1, sorted(triples))
+    except InvalidSystemError as e:
         raise ConstructionError(
             "no copy of s is compatible with the forced triples: "
-            + "; ".join(report.violations[:3])
-        )
-    return out
+            + "; ".join(e.violations[:3])
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +677,15 @@ def random_sts(n: int, rng: random.Random) -> TripleSystem:
     if not _admissible(n) or n < 7:
         raise ConstructionError(f"no interesting triple system on {n} points")
     want = n * (n - 1) // 6
-    third: dict = {}
+    third = [[-1] * n for _ in range(n)]  # symmetric; -1 on uncovered pairs
     missing = [set(range(n)) - {p} for p in range(n)]
     triples: set = set()
 
     def add(t):
         a, b, c = t
         triples.add(t)
-        for u_, v_ in ((a, b), (a, c), (b, c)):
-            third[(u_, v_)] = sum(t) - u_ - v_
+        for u_, v_, w_ in ((a, b, c), (a, c, b), (b, c, a)):
+            third[u_][v_] = third[v_][u_] = w_
             missing[u_].discard(v_)
             missing[v_].discard(u_)
 
@@ -698,7 +693,7 @@ def random_sts(n: int, rng: random.Random) -> TripleSystem:
         a, b, c = t
         triples.discard(t)
         for u_, v_ in ((a, b), (a, c), (b, c)):
-            del third[(u_, v_)]
+            third[u_][v_] = third[v_][u_] = -1
             missing[u_].add(v_)
             missing[v_].add(u_)
 
@@ -706,9 +701,8 @@ def random_sts(n: int, rng: random.Random) -> TripleSystem:
         live = [p for p in range(n) if missing[p]]
         x = rng.choice(live)
         y, z = rng.sample(sorted(missing[x]), 2)
-        key = (y, z) if y < z else (z, y)
-        old = third.get(key)
-        if old is not None:
+        old = third[y][z]
+        if old >= 0:
             remove(tuple(sorted((y, z, old))))
         add(tuple(sorted((x, y, z))))
     return TripleSystem.from_triples(n, sorted(triples))

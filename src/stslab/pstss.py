@@ -20,18 +20,11 @@ from .system import (
     TripleSystem,
     VerificationError,
     _triple_keys,
-    validate_pstss,
 )
 
 
 class PstssError(ValueError):
     pass
-
-
-def _check_pstss(system) -> None:
-    report = validate_pstss(system)
-    if not report.ok:
-        raise VerificationError("; ".join(report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +130,6 @@ def build_qr(r: int) -> GadgetQ:
     extra = tuple(sorted((2, zp, p2(2))))
     triples = c1 + c2 + [extra]
     system = PartialTripleSystem.from_triples(4 * r + 10, triples)
-    _check_pstss(system)
     return GadgetQ(
         r=r,
         system=system,
@@ -187,7 +179,6 @@ def _attach(v, rs: list) -> AttachedSystem:
             triples.append(tuple(sorted(relabel[x] for x in t)))
         gadget_points.append(tuple(relabel[local] for local in range(q.n)))
     system = PartialTripleSystem.from_triples(next_free, triples)
-    _check_pstss(system)
     return AttachedSystem(
         system=system, base_n=n, gadget_of=tuple(gadget_points), gadget_r=tuple(rs)
     )
@@ -279,8 +270,6 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
         raise PstssError(f"ground size {np_} exceeds cap {cap} (2^n' - 1 points)")
     if vprime.n > np_:
         raise PstssError("vprime has more points than the ground set")
-    if not validate_pstss(vprime).ok:
-        raise PstssError("vprime is not pair-disjoint")
     removed = []
     added = []
     for va, vb, vc in vprime.iter_triples():

@@ -90,12 +90,11 @@ def _cycle_seed(n: int, inc, charge) -> list:
     permutes V - {a, b, c}; its sorted cycle lengths are the pair's cycle
     type.  A point's color is the rank of the sorted multiset of the cycle
     types of its pairs.  `charge` runs before each point's pairs are walked.
-    A system gets all zeros unless it covers every pair exactly once.  With
-    3m = n(n-1)/2 that holds iff each row of `inc.third` holds one -1: the
-    m triples write at most 6m = n(n-1) cells, so all of them distinct.
+    A system gets all zeros unless it covers every pair, which its m
+    pair-disjoint triples do iff 3m = n(n-1)/2.
     """
     third = inc.third
-    if 3 * len(inc.triples) != n * (n - 1) // 2 or any(row.count(-1) != 1 for row in third):
+    if 3 * len(inc.triples) != n * (n - 1) // 2:
         return [0] * n
     types: dict = {}  # cycle type -> both points of each pair of that type
     for a in range(n):

@@ -3,6 +3,10 @@
 Points are always dense indices 0..n-1.  Triples are stored as a numpy
 (m, 3) int32 array with each row sorted ascending and rows in lexicographic
 order, so two systems with the same triples compare equal bit-for-bit.
+
+Constructing a system validates it: a PartialTripleSystem has every pair in
+at most one triple and a TripleSystem in exactly one, or the constructor
+raises InvalidSystemError.
 """
 
 from __future__ import annotations
@@ -75,6 +79,14 @@ class VerificationError(RuntimeError):
     """A computed result failed the independent check made before returning it."""
 
 
+class InvalidSystemError(ValueError):
+    """The triples break the axioms of the system being built."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = tuple(violations)
+
+
 class Incidence(NamedTuple):
     """Python views of a system's triples, built once per system.
 
@@ -94,6 +106,9 @@ class _SystemBase:
 
     def __post_init__(self):
         self.triples = _normalize(self.n, self.triples)
+        violations = self._violations()
+        if violations:
+            raise InvalidSystemError(violations)
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable):
@@ -128,7 +143,9 @@ class _SystemBase:
             pairs[a].append((b, c))
             pairs[b].append((a, c))
             pairs[c].append((a, b))
-        return Incidence(triples, tuple(map(tuple, third)), tuple(map(tuple, pairs)))
+        for i, row in enumerate(third):  # in place: one list row is alive at a time
+            third[i] = tuple(row)
+        return Incidence(triples, tuple(third), tuple(map(tuple, pairs)))
 
     def pair_third(self) -> dict:
         """Map each covered pair (a, b) with a < b to the third point (a copy)."""
@@ -154,10 +171,25 @@ class _SystemBase:
 class TripleSystem(_SystemBase):
     """A Steiner triple system: every pair of points in exactly one triple."""
 
+    def _violations(self) -> list:
+        """Empty when n(n-1)/6 triples with distinct pair codes cover all
+        pairs at an admissible n; else the violations, size rules included."""
+        size = _size_violations(self.n, self.n_triples)
+        if not size and _scan_pair_coverage(self) == 3 * self.n_triples:
+            return []
+        return _structural_violations(self) + size or _duplicate_pair_violations(self)
+
 
 @dataclass(eq=False)
 class PartialTripleSystem(_SystemBase):
     """A partial system: every pair of points in at most one triple."""
+
+    def _violations(self) -> list:
+        """Empty when the pair codes are distinct; the violations are named
+        only when their count is short."""
+        if _scan_pair_coverage(self) == 3 * self.n_triples:
+            return []
+        return _structural_violations(self) or _duplicate_pair_violations(self)
 
 
 @dataclass(frozen=True)
@@ -225,40 +257,28 @@ def _duplicate_pair_violations(ts: _SystemBase) -> list:
     return [f"pair {divmod(int(code), ts.n)} covered twice" for code in dupes]
 
 
-def validate_pstss(ps: _SystemBase) -> ValidationReport:
-    """Check the partial-system axiom: each pair in at most one triple.
+def _size_violations(n: int, m: int) -> list:
+    if n in (0, 1):
+        return [f"degenerate system on {n} points must have no triples"] if m else []
+    bad = []
+    if n % 6 not in (1, 3):
+        bad.append(f"{n} points is inadmissible (need n = 1 or 3 mod 6)")
+    if m != n * (n - 1) // 6:
+        bad.append(f"triple count {m}, expected {n * (n - 1) // 6}")
+    return bad
 
-    The check is the count of distinct pair codes; the violations are
-    named only when it is short.
-    """
-    if _scan_pair_coverage(ps) == 3 * ps.n_triples:
-        return ValidationReport(True)
-    violations = _structural_violations(ps) or _duplicate_pair_violations(ps)
-    return ValidationReport(False, tuple(violations))
+
+def validate_pstss(ps: _SystemBase) -> ValidationReport:
+    """The partial-system axiom, which every system met when it was built."""
+    return ValidationReport(True)
 
 
 def validate_sts(ts: _SystemBase) -> ValidationReport:
-    """Check the full axioms: each pair in exactly one triple, admissible size.
-
-    n(n-1)/6 triples with distinct pair codes cover all pairs, so the check
-    is the size rules and the code count; violations are named on failure.
-    """
-    n = ts.n
-    m = ts.n_triples
-    want = n * (n - 1) // 6
-    sized = m == 0 if n in (0, 1) else n % 6 in (1, 3) and m == want
-    if sized and _scan_pair_coverage(ts) == 3 * m:
-        return ValidationReport(True)
-    violations = _structural_violations(ts)
-    if n in (0, 1):
-        violations.append(f"degenerate system on {n} points must have no triples")
-        return ValidationReport(False, tuple(violations))
-    if n % 6 not in (1, 3):
-        violations.append(f"{n} points is inadmissible (need n = 1 or 3 mod 6)")
-    if m != want:
-        violations.append(f"triple count {m}, expected {want}")
-    violations = violations or _duplicate_pair_violations(ts)
-    return ValidationReport(False, tuple(violations))
+    """The full axioms.  The pairs of ts were proved disjoint when it was
+    built, so n(n-1)/6 triples at an admissible n cover every pair and
+    only the size rules are left to check."""
+    violations = _size_violations(ts.n, ts.n_triples)
+    return ValidationReport(not violations, tuple(violations))
 
 
 def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:
@@ -318,7 +338,8 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
     """Induced system on a closed point set.
 
     Returns (system, old_of_new) where old_of_new[i] is the ambient index of
-    the i-th point of the restriction.
+    the i-th point of the restriction.  A full system restricted to a set
+    that is not closed raises InvalidSystemError.
     """
     pts = sorted(set(points))
     index = {p: i for i, p in enumerate(pts)}
@@ -422,9 +443,9 @@ def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
     A body of plain "a b c" lines is parsed by numpy; any other body is
-    read line by line, which reports the first bad line.  The system is
-    validated against the axioms its header names; a file that breaks
-    them raises FormatError listing every violation found.
+    read line by line, which reports the first bad line.  Building the
+    system the header names validates it; a file that breaks its axioms
+    raises FormatError listing every violation found.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -458,12 +479,8 @@ def read_system(path):
             if any(p < 0 or p >= n for p in t):
                 raise FormatError(path, line_no, f"index out of range 0..{n - 1}")
             rows.append(t)
-    if parts[0] == "sts":
-        cls, validate = TripleSystem, validate_sts
-    else:
-        cls, validate = PartialTripleSystem, validate_pstss
-    system = cls(n, rows)
-    report = validate(system)
-    if not report.ok:
-        raise FormatError(path, 1, "; ".join(report.violations))
-    return system
+    cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem
+    try:
+        return cls(n, rows)
+    except InvalidSystemError as e:
+        raise FormatError(path, 1, str(e)) from None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stslab import read_system, validate_sts
+from stslab import TripleSystem, read_system, validate_sts
 from stslab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -64,6 +64,16 @@ def test_construct_invalid_order(tmp_path, capsys):
     assert _run("construct", "base", "--n", "5", "--output", str(out)) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_construct_that_builds_an_invalid_system_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("stslab.cli.bose", lambda n: TripleSystem.from_triples(7, [(0, 1, 2)]))
+    out = tmp_path / "x.sts"
+    assert _run("construct", "bose", "--n", "9", "--output", str(out)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: triple count 1, expected 7\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_ok_and_fail(tmp_path, capsys):

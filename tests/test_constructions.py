@@ -9,6 +9,7 @@ import pytest
 from stslab import (
     BlockDesign,
     ConstructionError,
+    InvalidSystemError,
     LabelingError,
     MooreInput,
     TripleSystem,
@@ -399,10 +400,10 @@ def test_paired_via_design_valid():
 
 
 def test_paired_via_design_anchor_degree_mismatch():
-    with pytest.raises(ConstructionError, match="lies in 1 triples"):
-        paired_via_design(
-            TripleSystem(7, [(0, 1, 2)]), BlockDesign.from_sts(pg_sts(2))
-        )
+    """A system whose anchor lies in fewer than k triples is not an
+    STS(2k+1), so it cannot be built and handed to paired_via_design."""
+    with pytest.raises(InvalidSystemError, match="triple count 1, expected 7"):
+        TripleSystem(7, [(0, 1, 2)])
 
 
 def test_random_sts_valid():

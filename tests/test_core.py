@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from stslab import (
     FormatError,
+    InvalidSystemError,
     PartialTripleSystem,
     TripleSystem,
     VerificationError,
@@ -56,22 +57,26 @@ def test_validate_fano_ok():
 
 
 def test_validate_duplicate_pair():
-    ts = PartialTripleSystem.from_triples(7, [(0, 1, 2), (0, 1, 3)])
-    report = validate_pstss(ts)
-    assert not report.ok
-    assert any("(0, 1)" in v for v in report.violations)
+    with pytest.raises(InvalidSystemError) as exc:
+        PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)])
+    assert exc.value.violations == ("pair (0, 1) covered twice",)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_validate_wrong_count():
-    ts = TripleSystem.from_triples(7, [(0, 1, 2)])
-    report = validate_sts(ts)
-    assert not report.ok
-    assert any("count" in v for v in report.violations)
+    with pytest.raises(InvalidSystemError) as exc:
+        TripleSystem.from_triples(7, [(0, 1, 2)])
+    assert exc.value.violations == ("triple count 1, expected 7",)
+    assert str(exc.value) == "triple count 1, expected 7"
 
 
 def test_validate_inadmissible_size():
-    ts = TripleSystem.from_triples(5, [])
-    assert not validate_sts(ts).ok
+    with pytest.raises(InvalidSystemError, match="5 points is inadmissible"):
+        TripleSystem.from_triples(5, [])
+    assert validate_sts(PartialTripleSystem(5, [])).violations == (
+        "5 points is inadmissible (need n = 1 or 3 mod 6)",
+        "triple count 0, expected 3",
+    )
 
 
 def test_validate_degenerate_sizes():
@@ -90,28 +95,36 @@ def test_validate_pstss_examples():
 
 
 def test_valid_systems_never_run_the_diagnostics(monkeypatch):
-    """A valid system is decided by the pair count alone; the code that
-    names violations runs only when a system fails."""
+    """Building a valid system decides it by the pair count alone, and
+    validating it afterwards scans nothing; the code that names
+    violations runs only when a system fails."""
 
     def diagnose(ts):
         raise AssertionError("diagnostics ran on a valid system")
 
+    monkeypatch.setattr(stslab.system, "_structural_violations", diagnose)
+    monkeypatch.setattr(stslab.system, "_duplicate_pair_violations", diagnose)
     ysys, xset = embed_subsystem(1, 7)
     product = moore(MooreInput.build(ysys, xset, base_sts(3)))
     replaced = replace_triples(boolean_space(10), cyclic_pstss(5).system).system
-    monkeypatch.setattr(stslab.system, "_structural_violations", diagnose)
-    monkeypatch.setattr(stslab.system, "_duplicate_pair_violations", diagnose)
-    for ts in (pg_sts(3), product, replaced):
+    systems = (pg_sts(3), product, replaced)
+    partial = cyclic_pstss(5).system
+
+    def rescan(ts):
+        raise AssertionError("a built system was scanned again")
+
+    monkeypatch.setattr(stslab.system, "_scan_pair_coverage", rescan)
+    for ts in systems:
         assert validate_sts(ts) == stslab.system.ValidationReport(True)
-    assert validate_pstss(cyclic_pstss(5).system) == stslab.system.ValidationReport(True)
+    assert validate_pstss(partial) == stslab.system.ValidationReport(True)
 
 
-def _reference_report(ts, full: bool) -> tuple:
+def _reference_report(n: int, triples, full: bool) -> tuple:
     """(ok, violations) with the library's messages, from Python sets over
-    ts.triples: rows with a repeated point, rows listed twice (the rows are
-    in lexicographic order), and the first 20 pairs that two triples cover."""
-    rows = [tuple(r) for r in ts.triples.tolist()]
-    n = ts.n
+    the normalized rows: rows with a repeated point, rows listed twice (the
+    rows are in lexicographic order), and the first 20 pairs that two
+    triples cover."""
+    rows = [tuple(r) for r in _normalize(n, triples).tolist()]
     structural = [f"triple {r} has repeated points" for r in rows if len(set(r)) < 3][:20]
     structural += [f"triple {r} listed twice" for q, r in zip(rows, rows[1:]) if q == r][:20]
     seen, twice = set(), set()
@@ -133,6 +146,26 @@ def _reference_report(ts, full: bool) -> tuple:
             violations.append(f"triple count {len(rows)}, expected {n * (n - 1) // 6}")
         violations = violations or pairs
     return not violations, tuple(violations)
+
+
+def _built(cls, n: int, rows) -> tuple:
+    """(ok, violations) of building cls(n, rows)."""
+    try:
+        cls(n, rows)
+    except InvalidSystemError as e:
+        return False, e.violations
+    return True, ()
+
+
+def _check_against_reference(n: int, rows) -> None:
+    """Building either kind of system fails exactly as the reference says,
+    and validate_sts on a partial system that builds names its size faults."""
+    partial = _reference_report(n, rows, False)
+    assert _built(PartialTripleSystem, n, rows) == partial
+    assert _built(TripleSystem, n, rows) == _reference_report(n, rows, True)
+    if partial[0]:
+        report = validate_sts(PartialTripleSystem(n, rows))
+        assert (report.ok, report.violations) == _reference_report(n, rows, True)
 
 
 def _faults(n: int, rows: list) -> dict:
@@ -168,13 +201,10 @@ _SPARSE = [(0, 1, 2), (3, 4, 5), (0, 3, 6), (7, 8, 9), (1, 4, 7)]
 )
 def test_validation_matches_set_reference(n, rows):
     for fault, faulty in _faults(n, rows).items():
-        for cls, validate, full in (
-            (PartialTripleSystem, validate_pstss, False),
-            (TripleSystem, validate_sts, True),
-        ):
-            ts = cls(n, faulty)
-            report = validate(ts)
-            assert (report.ok, report.violations) == _reference_report(ts, full), (fault, cls)
+        try:
+            _check_against_reference(n, faulty)
+        except AssertionError as e:
+            raise AssertionError(fault) from e
 
 
 @pytest.mark.parametrize(
@@ -192,9 +222,7 @@ def test_validation_matches_set_reference(n, rows):
     ],
 )
 def test_validate_sts_sizes_match_set_reference(n, rows):
-    ts = TripleSystem(n, rows)
-    report = validate_sts(ts)
-    assert (report.ok, report.violations) == _reference_report(ts, True)
+    _check_against_reference(n, rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,14 +235,7 @@ def test_validate_sts_sizes_match_set_reference(n, rows):
     )
 )
 def test_validation_matches_set_reference_random(case):
-    n, rows = case
-    for cls, validate, full in (
-        (PartialTripleSystem, validate_pstss, False),
-        (TripleSystem, validate_sts, True),
-    ):
-        ts = cls(n, rows)
-        report = validate(ts)
-        assert (report.ok, report.violations) == _reference_report(ts, full)
+    _check_against_reference(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +273,15 @@ def test_restrict_roundtrip():
     assert validate_sts(small).ok
     assert sorted(old) == sorted(sub)
     assert is_subsystem(ts, sub)
+
+
+def test_restrict_to_an_open_set_raises():
+    ts = pg_sts(3)
+    assert not is_subsystem(ts, {0, 1, 3})
+    with pytest.raises(InvalidSystemError, match="triple count 0, expected 1"):
+        restrict(ts, {0, 1, 3})
+    small, _ = restrict(cyclic_pstss(4).system, {0, 1, 3})  # any subset of a partial system
+    assert small.n_triples == 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +330,9 @@ def test_read_system_lists_every_violation(tmp_path):
     path.write_text("sts 6\n0 1 2\n")
     with pytest.raises(FormatError) as exc:
         read_system(path)
-    violations = validate_sts(TripleSystem(6, [(0, 1, 2)])).violations
+    with pytest.raises(InvalidSystemError) as built:
+        TripleSystem(6, [(0, 1, 2)])
+    violations = built.value.violations
     assert len(violations) == 2
     assert all(v in str(exc.value) for v in violations)
 
@@ -686,6 +718,22 @@ def test_no_assert_statements_in_library():
         for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+    ]
+    assert paths and not found, found
+
+
+def test_only_the_system_module_validates():
+    """A system is valid because it was built, so no other library module
+    calls a validate function."""
+    src = Path(__file__).resolve().parents[1] / "src" / "stslab"
+    paths = sorted(p for p in src.glob("*.py") if p.name != "system.py")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("validate_sts", "validate_pstss")
     ]
     assert paths and not found, found
 

@@ -15,7 +15,7 @@ from stslab import (
 from stslab import search
 from stslab.constructions import random_sts
 from stslab.search import BudgetExceededError, _canonical_labeling, _SearchData
-from stslab.system import VerificationError, validate_pstss
+from stslab.system import InvalidSystemError
 
 
 def _moore(x, y, v):
@@ -52,19 +52,22 @@ def test_seed_is_invariant_under_relabeling(name):
 
 
 @pytest.mark.parametrize(
-    "partial",
+    "n, rows",
     [
-        PartialTripleSystem(9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)]),
+        (9, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 6, 7)]),
         # 3m = n(n-1)/2 = 6, but the pair {0, 1} is listed twice and {2, 3} never
-        PartialTripleSystem(4, [(0, 1, 2), (0, 1, 3)]),
+        (4, [(0, 1, 2), (0, 1, 3)]),
     ],
     ids=["uncovered", "pair_twice"],
 )
-def test_partial_system_starts_from_zeros(partial):
-    assert _seed(partial) == [0] * partial.n
-    if not validate_pstss(partial).ok:  # no labeling keeps a pair listed twice
-        with pytest.raises(VerificationError):
-            automorphism_group(partial)
+def test_partial_system_starts_from_zeros(n, rows):
+    """The seed's guard is the triple count alone, so a system that passes
+    the count but lists a pair twice must never be built."""
+    if 3 * len(rows) == n * (n - 1) // 2:
+        with pytest.raises(InvalidSystemError, match=r"pair \(0, 1\) covered twice"):
+            PartialTripleSystem(n, rows)
+    else:
+        assert _seed(PartialTripleSystem(n, rows)) == [0] * n
 
 
 @pytest.mark.parametrize("n, seed", [(19, 0), (21, 0), (27, 0)])
