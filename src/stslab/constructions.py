@@ -18,7 +18,6 @@ import numpy as np
 
 from .search import automorphism_group
 from .system import (
-    InvalidSystemError,
     PointSet,
     TripleSystem,
     VerificationError,
@@ -467,27 +466,20 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     m = lab.m
     xi = inp.x_index()
     res = lab.residue_of()
-    triples = []
-    # (M1) triples inside X
+    blocks = []
+    u_base = len(inp.x_points) + np.arange(inp.v.n, dtype=np.int32)[:, None] * m
     for t in inp.y.iter_triples():
-        inside = [p in inp.x_points for p in t]
-        if all(inside):
-            triples.append(tuple(xi[p] for p in t))
-            continue
-        outs = [p for p, isin in zip(t, inside) if not isin]
-        ins = [p for p, isin in zip(t, inside) if isin]
-        if len(outs) == 2:  # (M2) crossing triples, one point in X
-            a1, a2 = res[outs[0]], res[outs[1]]
-            for v in range(inp.v.n):
-                triples.append((inp.u_point(v, a1), inp.u_point(v, a2), xi[ins[0]]))
-        elif len(outs) == 3:  # (M2) triples inside Y - X
-            a1, a2, a3 = (res[p] for p in outs)
-            for v in range(inp.v.n):
-                triples.append(
-                    (inp.u_point(v, a1), inp.u_point(v, a2), inp.u_point(v, a3))
-                )
-        else:  # X closed: a triple cannot meet X in exactly two points
+        outs = [res[p] for p in t if p not in inp.x_points]
+        ins = [xi[p] for p in t if p in inp.x_points]
+        if not outs:  # (M1) triples inside X
+            blocks.append(np.array([ins], dtype=np.int32))
+        elif len(outs) == 1:  # X closed: a triple cannot meet X in exactly two points
             raise VerificationError("closed subsystem violated")
+        else:  # (M2) one row per point v of V: u_point(v, a) per residue, then X
+            block = np.empty((inp.v.n, 3), dtype=np.int32)
+            block[:, : len(outs)] = u_base + outs
+            block[:, len(outs) :] = ins
+            blocks.append(block)
     # (M3) product triples: labels multiplying to the identity, for every
     # triple (v1, v2, v3) of V and every a1, a2 in that order
     a1, a2 = np.divmod(np.arange(m * m, dtype=np.int32), m)
@@ -495,9 +487,7 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     if sigma is not None:
         labels = np.asarray(sigma, dtype=np.int32)[labels]
     product = len(inp.x_points) + inp.v.triples[:, None, :] * m + labels
-    return np.concatenate(
-        [np.array(triples, dtype=np.int32).reshape(-1, 3), product.reshape(-1, 3)]
-    )
+    return np.concatenate([*blocks, product.reshape(-1, 3)])
 
 
 def moore(inp: MooreInput) -> TripleSystem:
@@ -631,7 +621,7 @@ class BlockDesign:
 
 
 def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
-    """Blow up each block of the design into a copy of the paired system s.
+    """Blow up each block of the design into a copy of s.
 
     Output on 2w+1 points: a new point at index 0, then the two point
     classes (1, b) -> 1 + b and (2, b) -> 1 + w + b.
@@ -659,13 +649,7 @@ def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
         for t in s.iter_triples():
             img = tuple(sorted(mapping[p] for p in t))
             triples.add(img)
-    try:
-        return TripleSystem.from_triples(2 * w + 1, sorted(triples))
-    except InvalidSystemError as e:
-        raise ConstructionError(
-            "no copy of s is compatible with the forced triples: "
-            + "; ".join(e.violations[:3])
-        ) from None
+    return TripleSystem.from_triples(2 * w + 1, sorted(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ resulting Steiner system U remembers V' exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +21,7 @@ from .system import (
     PointSet,
     TripleSystem,
     VerificationError,
-    _triple_keys,
+    _chunks,
 )
 
 
@@ -264,6 +266,8 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
     """Switch four triples per vprime-triple; the pair cover is unchanged.
 
     vprime's points index the singleton subsets (point j <-> mask 1<<j).
+    The space's rows are switched in place and stay sorted, so the system
+    adopts them with no copy.
     """
     np_ = space.n_prime
     if np_ > cap:
@@ -280,18 +284,15 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
     removed = [tuple(sorted(m - 1 for m in t)) for t in removed]
     added = [tuple(sorted(m - 1 for m in t)) for t in added]
 
-    base = space.triples_array()
-    n = space.n
-    if removed:
-        keys = _triple_keys(base, n)  # ascending, as the rows are in order
-        rem_keys = _triple_keys(np.array(removed, dtype=np.int32), n)
-        drop = np.searchsorted(keys, rem_keys)
-        found = keys[np.minimum(drop, keys.size - 1)] == rem_keys
-        if not found.all() or np.unique(drop).size != len(removed):
-            raise VerificationError("a removed triple was absent")
-        del keys
-        base[drop] = added  # four out, four in: the rows stay nearly sorted
-    system = TripleSystem(n, base)
+    rows = space.triples_array()
+    drop = [bisect_left(rows, t, key=tuple) for t in removed]  # rows are sorted
+    if len(set(drop)) != len(removed) or any(
+        p == len(rows) or tuple(rows[p]) != t for p, t in zip(drop, removed)
+    ):
+        raise VerificationError("a removed triple was absent")
+    _switch_rows(rows, sorted(drop), sorted(added))
+    rows.setflags(write=False)  # handed over: the system adopts it
+    system = TripleSystem(space.n, rows)
     override = {}
     for t in added:
         x, y, z = t
@@ -308,24 +309,53 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
     )
 
 
+def _switch_rows(rows: np.ndarray, drop: list, add: list) -> None:
+    """Replace the sorted rows at the ascending positions drop by as many
+    sorted rows add, in place and in order.
+
+    Each run of kept rows moves once, by the rows added before it less
+    the rows dropped before it: leftward runs from the left, then
+    rightward runs from the right, so no run is overwritten before it
+    moves.  Through a one-dimensional view numpy moves overlapping runs
+    in place.
+    """
+    kept = rows.shape[0] - len(drop)
+    after_drop = [p - i for i, p in enumerate(drop)]  # kept index after each dropped row
+    slots = [bisect_left(rows, t, key=tuple) for t in add]
+    slots = [s - bisect_left(drop, s) for s in slots]  # in kept indices
+    cuts = sorted({0, kept, *after_drop, *slots})
+    moves = [
+        (u + bisect_right(after_drop, u), u + bisect_right(slots, u), v - u)
+        for u, v in zip(cuts, cuts[1:])
+    ]
+    flat = rows.reshape(-1)
+    left = [mv for mv in moves if mv[1] < mv[0]]
+    right = [mv for mv in moves if mv[1] > mv[0]]
+    for src, dst, size in left + right[::-1]:
+        flat[3 * dst : 3 * (dst + size)] = flat[3 * src : 3 * (src + size)]
+    for j, (s, t) in enumerate(zip(slots, add)):
+        rows[s + j] = t
+
+
 def nonspace_triples(rep: ReplacedSystem) -> list:
     """Triples of the switched system that are not lines of the space.
 
     A line has the xor of its three masks zero; the switched-in triples
     do not.
     """
-    arr = rep.system.triples
-    bad = ((arr[:, 0] + 1) ^ (arr[:, 1] + 1) ^ (arr[:, 2] + 1)) != 0
-    return [tuple(int(v) for v in row) for row in arr[bad]]
+    out = []
+    for rows in _chunks(rep.system.triples):
+        xor = rows[:, 0] + 1
+        xor ^= rows[:, 1] + 1
+        xor ^= rows[:, 2] + 1
+        out += map(tuple, rows[xor != 0].tolist())
+    return out
 
 
 def check_property_44(rep: ReplacedSystem) -> bool:
     """Each pair-type point of a switched triple is in exactly two
     non-line triples of the system."""
-    degree: dict = {}
-    for t in nonspace_triples(rep):
-        for p in t:
-            degree[p] = degree.get(p, 0) + 1
+    degree = Counter(p for t in nonspace_triples(rep) for p in t)
     for va, vb, vc in rep.vprime.iter_triples():
         a, b, c = 1 << va, 1 << vb, 1 << vc
         for pair_mask in (a | b, a | c, b | c):
@@ -413,10 +443,7 @@ def recover_vprime(rep: ReplacedSystem) -> PointSet:
     points satisfying rule one.
     """
     xtr = nonspace_triples(rep)
-    degree: dict = {}
-    for t in xtr:
-        for p in t:
-            degree[p] = degree.get(p, 0) + 1
+    degree = Counter(p for t in xtr for p in t)
     rule1 = {p for p, d in degree.items() if d > 2}
     out = set(rule1)
     for t in xtr:

@@ -41,7 +41,11 @@ def _normalize(n: int, triples) -> np.ndarray:
     """Read-only int32 (m, 3) rows, each sorted, in lexicographic order.
 
     Rows are sorted only when one is out of order, and the row order is
-    sorted only when the keys are not already non-decreasing.
+    sorted only when the keys are not already non-decreasing; both checks
+    run a chunk of rows at a time.  An array already in this form is
+    adopted, not copied, when it is read-only and owns its data: whoever
+    made it has handed it over.  Any other array the caller passed is
+    copied, so a system never shares a writable buffer.
     """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
@@ -55,24 +59,41 @@ def _normalize(n: int, triples) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("triple entry out of range 0..n-1")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
-    if np.any(arr[:, 0] > arr[:, 1]) or np.any(arr[:, 1] > arr[:, 2]):
+    if any(np.any(c[:, 0] > c[:, 1]) or np.any(c[:, 1] > c[:, 2]) for c in _chunks(arr)):
         arr = np.sort(arr, axis=1)
     if n > _KEY_MAX_N:
         arr = arr[np.lexsort((arr[:, 2], arr[:, 0].astype(np.int64) * n + arr[:, 1]))]
-    elif arr.shape[0] > 1:
+    elif _out_of_order(arr, n):
         keys = _triple_keys(arr, n)
-        if np.any(keys[1:] < keys[:-1]):
-            keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
-            arr = np.empty_like(arr)
-            arr[:, 2] = keys % n
-            keys //= n
-            arr[:, 1] = keys % n
-            keys //= n
-            arr[:, 0] = keys
-    if np.may_share_memory(arr, triples):  # never hand back the caller's array
+        keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
+        arr = np.empty_like(arr)
+        arr[:, 2] = keys % n
+        keys //= n
+        arr[:, 1] = keys % n
+        keys //= n
+        arr[:, 0] = keys
+    handed_over = triples.flags.owndata and not triples.flags.writeable
+    if np.may_share_memory(arr, triples) and not handed_over:
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+_CHUNK = 1 << 18  # rows per step of the order checks and the pair scan
+
+
+def _chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
+    return (rows[lo : lo + _CHUNK] for lo in range(0, rows.shape[0], _CHUNK))
+
+
+def _out_of_order(rows: np.ndarray, n: int) -> bool:
+    """Whether a row's key is below the key of the row before it; each
+    chunk's keys start at the last row of the chunk before."""
+    for lo in range(0, rows.shape[0] - 1, _CHUNK):
+        keys = _triple_keys(rows[lo : lo + _CHUNK + 1], n)
+        if np.any(keys[1:] < keys[:-1]):
+            return True
+    return False
 
 
 class VerificationError(RuntimeError):
@@ -210,8 +231,6 @@ def _pair_codes(triples: np.ndarray, n: int) -> np.ndarray:
     nn = dtype(n) if dtype is np.uint32 else n
     return np.concatenate([a * nn + b, a * nn + c, b * nn + c])
 
-_CHUNK = 1 << 21
-
 
 def _scan_pair_coverage(ts: _SystemBase) -> int:
     """The number of distinct pair codes a*n+b of the triples: 3m exactly
@@ -226,8 +245,8 @@ def _scan_pair_coverage(ts: _SystemBase) -> int:
         codes = np.sort(_pair_codes(ts.triples, n))
         return codes.size - int(np.count_nonzero(codes[1:] == codes[:-1]))
     seen = np.zeros(n * n, dtype=bool)
-    for lo in range(0, m, _CHUNK):
-        a, b, c = (ts.triples[lo : lo + _CHUNK, i].astype(np.intp) for i in range(3))
+    for rows in _chunks(ts.triples):
+        a, b, c = (rows[:, i].astype(np.intp) for i in range(3))
         a *= n
         seen[a + b] = True
         seen[a + c] = True
@@ -436,7 +455,9 @@ def _parse_rows(raw: bytes, start: int, n: int):
         if values.max() >= n:
             return None
         chunks.append(values.reshape(-1, 3))
-    return np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+    rows = np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+    rows.setflags(write=False)  # handed over: the system adopts it
+    return rows
 
 
 def read_system(path):

@@ -1,5 +1,6 @@
 """Constructions: base families, doubling, products, labelings, lifting."""
 
+import hashlib
 import math
 import random
 
@@ -333,6 +334,24 @@ def test_moore_triples_match_loop_oracle():
         assert got.dtype == np.int32 and np.array_equal(got, want), params
         built += 1
     assert built == 27
+
+
+# SHA-256 of the rows of moore(_inp(x, y, v)) as built by the per-point
+# (M2) loop the broadcast blocks replaced
+_MOORE_ROWS_SHA256 = {
+    (1, 7, 3): "be934a42a2428e3b4389f7673036c0713adf8d57d90e7bb4cc33940678d51783",
+    (3, 9, 3): "3fa05263d9863632f0a9c671b75eb30009885d80ceacca3e710a4a2756cc29bf",
+    (7, 15, 3): "99da9370e88fe784cb072636db45f60812590fc83cc0f66dcbd305958d92ab87",
+    (1, 9, 7): "57314537e5ebc54f0932ed9d3470cc9a2d2c43763bcfdf6dd691849692464e44",
+    (3, 9, 7): "a8e7cefd031f42db23a0edd6c55c37e1e37c83eca12b397c9a8b1807b1c5cd46",
+    (7, 127, 31): "1c847f3cf1ba57d9d681176f0b13f3360567389f6c5619b239e4f633c68fd94e",
+}
+
+
+@pytest.mark.parametrize("params", sorted(_MOORE_ROWS_SHA256))
+def test_moore_rows_match_recorded_digest(params):
+    rows = moore(_inp(*params)).triples
+    assert hashlib.sha256(rows.data).hexdigest() == _MOORE_ROWS_SHA256[params]
 
 
 def test_moore_variant_sigma_triples_match_loop_oracle():

@@ -478,17 +478,51 @@ def test_normalize_rejects_like_lexsort_oracle(n, triples):
         _normalize(n, np.array(triples, dtype=np.int32))
 
 
-def test_normalize_of_sorted_rows_allocates_at_most_twice_the_array():
+def test_normalize_of_sorted_rows_allocates_one_copy_of_the_array():
+    """A writable sorted array is copied once; the order checks add only
+    bounded scratch space on top."""
     rng = np.random.default_rng(0)
     rows = np.sort(rng.integers(0, 300, size=(1_000_000, 3)), axis=1)
     rows = _lexsort_normalize(300, rows)
     tracemalloc.start()
     try:
-        _normalize(300, rows)
+        got = _normalize(300, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * rows.nbytes, f"{peak / 1e6:.1f} MB for a {rows.nbytes / 1e6:.0f} MB array"
+    assert not np.shares_memory(got, rows)
+    assert peak <= 1.25 * rows.nbytes, f"{peak / 1e6:.1f} MB for a {rows.nbytes / 1e6:.0f} MB array"
+
+
+def test_normalize_finds_a_descent_at_every_chunk_boundary(monkeypatch):
+    monkeypatch.setattr(stslab.system, "_CHUNK", 4)
+    rows = _lexsort_normalize(50, np.random.default_rng(3).integers(0, 50, size=(13, 3)))
+    for i in range(rows.shape[0] - 1):
+        swapped = rows.copy()
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        assert np.array_equal(_normalize(50, swapped), rows), i
+        backwards = swapped[:, ::-1].copy()  # rows out of order inside too
+        assert np.array_equal(_normalize(50, backwards), rows), i
+
+
+def test_normalize_adopts_a_read_only_array_that_owns_its_data():
+    rows = _lexsort_normalize(300, np.random.default_rng(1).integers(0, 300, size=(1000, 3)))
+    rows.setflags(write=False)
+    got = _normalize(300, rows)
+    assert got is rows and not got.flags.writeable
+    assert TripleSystem(7, FANO.triples).triples is FANO.triples
+
+
+def test_normalize_copies_what_it_cannot_adopt():
+    rows = _lexsort_normalize(300, np.random.default_rng(2).integers(0, 300, size=(1000, 3)))
+    view = rows[:]  # read-only, but its owner can still write the rows
+    view.setflags(write=False)
+    unsorted = rows[::-1].copy()
+    unsorted.setflags(write=False)
+    for given_rows in (view, unsorted):
+        got = _normalize(300, given_rows)
+        assert np.array_equal(got, rows) and not got.flags.writeable
+        assert not np.shares_memory(got, given_rows)
 
 
 def _fstring_write(ts, path):

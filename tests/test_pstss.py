@@ -1,9 +1,13 @@
 """Partial systems, rigid gadgets, and the triple-replacement pipeline."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_core import _lexsort_normalize
 
 from stslab import (
     PartialTripleSystem,
@@ -25,7 +29,8 @@ from stslab import (
     validate_pstss,
     validate_sts,
 )
-from stslab.pstss import is_cyclic_pstss, nonspace_triples
+from stslab.pstss import _switch_rows, is_cyclic_pstss, nonspace_triples
+from stslab.system import _triple_keys
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +145,69 @@ def test_replace_triples_valid_and_audited():
     assert rep.system.n_triples == sp.system().n_triples
     assert check_property_44(rep)
     assert sorted(nonspace_triples(rep)) == sorted(rep.added)
+
+
+def _swap_in_place_reference(n_prime, vprime):
+    """The switched rows as first built: each removed line's row is
+    overwritten by the added triple paired with it, and all the rows are
+    sorted again afterwards."""
+    space = boolean_space(n_prime)
+    rows = space.triples_array()
+    keys = _triple_keys(rows, space.n)
+    for va, vb, vc in vprime.iter_triples():
+        a, b, c = 1 << va, 1 << vb, 1 << vc
+        ab, ac, bc = a | b, a | c, b | c
+        removed = [(ab, ac, bc), (a, b, ab), (a, c, ac), (b, c, bc)]
+        added = [(a, b, c), (a, ab, ac), (b, ab, bc), (c, ac, bc)]
+        for old, new in zip(removed, added):
+            old = np.array([sorted(x - 1 for x in old)], dtype=np.int32)
+            slot = np.searchsorted(keys, _triple_keys(old, space.n))[0]
+            assert np.array_equal(rows[slot], old[0])
+            rows[slot] = sorted(x - 1 for x in new)
+    return _lexsort_normalize(space.n, rows)
+
+
+@pytest.mark.parametrize(
+    "n_prime,vprime",
+    [
+        (6, cyclic_pstss(3).system),
+        (10, cyclic_pstss(5).system),
+        (12, cyclic_pstss(6).system),
+        (10, bose(9)),  # 12 triples through every pair of 9 points
+        (10, pg_sts(2)),
+    ],
+)
+def test_replace_triples_matches_swap_in_place(n_prime, vprime):
+    got = replace_triples(boolean_space(n_prime), vprime).system.triples
+    assert np.array_equal(got, _swap_in_place_reference(n_prime, vprime))
+
+
+def test_replace_triples_peak_is_about_one_row_array():
+    space = boolean_space(12)
+    tracemalloc.start()
+    try:
+        rep = replace_triples(space, cyclic_pstss(6).system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = rep.system.triples
+    assert rows.shape == (space.n * (space.n - 1) // 6, 3)
+    assert peak <= 2.25 * rows.nbytes, f"{peak / 1e6:.1f} MB for {rows.nbytes / 1e6:.1f} MB of rows"
+
+
+_ROW = st.tuples(*[st.integers(0, 6)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_switch_rows_matches_sorting(data):
+    rows = sorted(set(data.draw(st.lists(_ROW, max_size=30))))
+    drop = sorted(data.draw(st.sets(st.sampled_from(range(len(rows))))) if rows else [])
+    add = sorted(data.draw(st.lists(_ROW, min_size=len(drop), max_size=len(drop))))
+    got = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    _switch_rows(got, drop, add)
+    kept = [t for i, t in enumerate(rows) if i not in set(drop)]
+    assert got.tolist() == [list(t) for t in sorted(kept + add)]
 
 
 def test_replace_triples_third_is_consistent():
