@@ -23,15 +23,19 @@ from .system import PointSet, fano_plane, is_subsystem
 def enumerate_fano(ts) -> list:
     """All PG(2, 2) subsystems, each as a sorted 7-tuple of points.
 
-    Every plane holds two triples that meet in a point, and `fano_plane`
-    on those two returns it, so testing every meeting pair of triples
-    finds every plane.
+    Each plane is tested only from its least point p.  Its three lines
+    through p are spokes (q, r) of p with p < q < r, and `fano_plane` on
+    any two of them returns the plane.  So testing every pair of the
+    spokes of p that lie above p finds every plane whose least point is
+    p, and a plane it returns with a smaller least point is dropped here,
+    because the pass over that point finds it.
     """
     found = set()
     for p, spokes in enumerate(ts.incidence.pairs):
-        for pair_a, pair_b in combinations(spokes, 2):
+        above = [spoke for spoke in spokes if spoke[0] > p]
+        for pair_a, pair_b in combinations(above, 2):
             plane = fano_plane(ts, p, pair_a, pair_b)
-            if plane is not None:
+            if plane is not None and plane[0] == p:
                 found.add(plane)
     return sorted(found)
 

@@ -6,6 +6,17 @@ so the tests compare the library's |Aut| against it.  For each cell point
 it runs a separate backtracking search (`find_map`) for a map between two
 individualized sequences, and builds the group level by level with the
 orbit-stabilizer count checked at every level.
+
+Refinement starts from each point's Pasch count: the number of Pasch
+configurations (four triples on six points, each point on two of them)
+through the point, counted as the pairs of triples {p, q1, r1}, {p, q2, r2}
+with q1q2 = r1r2 or q1r2 = r1q2.  The count is read from the triples alone,
+so relabeling a system by g relabels the counts by g, and every automorphism
+keeps them.  Refinement only splits cells by data that an automorphism
+keeps, so an automorphism taking one marked sequence to another still takes
+the first refined coloring to the second: `find_map` prunes no branch that
+holds one, and it accepts a map only after checking every triple.  The seed
+only makes the refined colorings finer, so the search branches less.
 """
 
 from stslab import perm as pm
@@ -22,7 +33,26 @@ class _Data:
             self.inc[a].append((b, c))
             self.inc[b].append((a, c))
             self.inc[c].append((a, b))
+        self.seed = self._pasch_counts()
         self._cache = {}
+
+    def _pasch_counts(self) -> list:
+        third = [[-1] * self.n for _ in range(self.n)]
+        for a, b, c in self.triples:
+            third[a][b] = third[b][a] = c
+            third[a][c] = third[c][a] = b
+            third[b][c] = third[c][b] = a
+        counts = []
+        for spokes in self.inc:
+            count = 0
+            for i, (q1, r1) in enumerate(spokes):
+                for q2, r2 in spokes[i + 1:]:
+                    s = third[q1][q2]
+                    count += s >= 0 and s == third[r1][r2]
+                    t = third[q1][r2]
+                    count += t >= 0 and t == third[r1][q2]
+            counts.append(count)
+        return counts
 
     def refine(self, marked: tuple) -> tuple:
         cached = self._cache.get(marked)
@@ -30,8 +60,8 @@ class _Data:
             return cached
         n = self.n
         mrank = {p: i for i, p in enumerate(marked)}
-        colors = [0] * n
-        n_classes = 1 if n else 0
+        colors = self.seed
+        n_classes = len(set(colors))
         while True:
             sigs = []
             for p in range(n):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, sidecars, manifests, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -159,6 +160,22 @@ def test_classify_fano_cmd(capsys):
     for line in out.strip().splitlines():
         assert line.startswith("fano ")
         assert "kind=" in line
+
+
+@pytest.mark.parametrize(
+    "xyv,n_lines,digest",
+    [
+        (("7", "31", "7"), 1103, "1de9255e9afc9a5f04350a36ca5048e18d5bb6fd95e32880052ee8f8533811bf"),
+        (("3", "19", "9"), 144, "73e2bd53888be001a760207109f0aa6e859708a4b1ff99a9d827f4f317202e3c"),
+    ],
+    ids=["moore_7_31_7", "moore_3_19_9"],
+)
+def test_classify_fano_output_is_pinned(capsys, xyv, n_lines, digest):
+    x, y, v = xyv
+    assert _run("classify-fano", "--x", x, "--y", y, "--v", v) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_solve_params_roundtrip(tmp_path, capsys):

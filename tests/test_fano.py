@@ -27,6 +27,8 @@ from stslab import (
     recognize_subsystem,
     yv_subsystem,
 )
+from stslab import fano as fano_module
+from stslab.system import fano_plane
 from fano_reference import _combinations, enumerate_fano_bruteforce, enumerate_fano_by_span
 
 
@@ -117,6 +119,57 @@ def test_enumerate_matches_span_reference(make, count):
     fast = enumerate_fano(ts)
     assert len(fast) == count
     assert fast == enumerate_fano_by_span(ts)
+
+
+def _two_planes_and_strays():
+    lines = list(pg_sts(2).iter_triples())
+    second = [tuple(p + 7 for p in t) for t in lines]
+    strays = [(0, 7, 14), (1, 8, 15), (2, 9, 16), (14, 15, 16)]
+    return PartialTripleSystem(17, lines + second + strays)
+
+
+@pytest.mark.parametrize(
+    "make,count",
+    [
+        (lambda: pg_sts(3), 15),
+        (lambda: pg_sts(4), 155),
+        (lambda: bose(9), 0),
+        (lambda: moore(_inp(3, 19, 9)), 144),
+        (_two_planes_and_strays, 2),
+    ],
+    ids=["pg3", "pg4", "bose9", "moore_3_19_9", "two_planes_partial"],
+)
+def test_enumeration_commutes_with_relabeling(make, count):
+    # each plane is tested only from its least point, which a relabeling moves
+    ts = make()
+    planes = enumerate_fano(ts)
+    assert len(planes) == count
+    for seed in range(3):
+        perm = list(range(ts.n))
+        random.Random(seed).shuffle(perm)
+        moved = type(ts)(ts.n, [[perm[p] for p in t] for t in ts.iter_triples()])
+        expected = sorted(tuple(sorted(perm[p] for p in plane)) for plane in planes)
+        assert enumerate_fano(moved) == expected
+
+
+@pytest.mark.parametrize(
+    "make", [_relabeled_pg5, lambda: moore(_inp(7, 31, 7))], ids=["pg5_relabeled", "moore_7_31_7"]
+)
+def test_enumeration_tests_pairs_of_spokes_above_each_point(make, monkeypatch):
+    ts = make()
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fano_plane(*args)
+
+    monkeypatch.setattr(fano_module, "fano_plane", counted)
+    enumerate_fano(ts)
+    pairs = ts.incidence.pairs
+    above = [sum(q > p for q, _ in spokes) for p, spokes in enumerate(pairs)]
+    assert calls == sum(a * (a - 1) // 2 for a in above)
+    assert calls <= 0.25 * sum(len(s) * (len(s) - 1) // 2 for s in pairs)
 
 
 # ---------------------------------------------------------------------------
