@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -124,47 +124,30 @@ def double(y: TripleSystem) -> TripleSystem:
     """The system on 2|Y|+1 points: Y, a mirror copy, and a new point *.
 
     Y sits on indices 0..|Y|-1, its copy on |Y|..2|Y|-1, and * is the last
-    point 2|Y|.
+    point 2|Y|.  Each triple abc of Y gives abc and the three triples with
+    two of a, b, c moved to the copy; each point a gives {a, a', *}.
     """
     k = y.n
-    star = 2 * k
-    triples = list(y.iter_triples())
-    for a in range(k):
-        triples.append((a, a + k, star))
-    for a, b, c in y.iter_triples():
-        triples.append((a + k, b + k, c))
-        triples.append((a + k, b, c + k))
-        triples.append((a, b + k, c + k))
-    return TripleSystem.from_triples(2 * k + 1, triples)
+    a = np.arange(k)
+    spokes = np.stack([a, a + k, np.full(k, 2 * k)], axis=1)
+    mirrored = y.triples[:, None, :] + k * (1 - np.eye(3, dtype=np.int64))
+    return TripleSystem(2 * k + 1, np.concatenate([y.triples, spokes, mirrored.reshape(-1, 3)]))
 
 
 def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
-    """Standard direct product; point (i, j) gets index i*|b| + j."""
+    """Standard direct product; point (i, j) gets index i*|b| + j.
+
+    Its triples are a copy of b in each row i, a copy of a in each column
+    j, and for each triple of a and each of b the six ways of pairing
+    their points.
+    """
     nb = b.n
-
-    def pt(i, j):
-        return i * nb + j
-
-    triples = []
-    for i in range(a.n):
-        for t in b.iter_triples():
-            triples.append((pt(i, t[0]), pt(i, t[1]), pt(i, t[2])))
-    for j in range(b.n):
-        for t in a.iter_triples():
-            triples.append((pt(t[0], j), pt(t[1], j), pt(t[2], j)))
-    from itertools import permutations
-
-    for ta in a.iter_triples():
-        for tb in b.iter_triples():
-            for perm in permutations(range(3)):
-                triples.append(
-                    (
-                        pt(ta[0], tb[perm[0]]),
-                        pt(ta[1], tb[perm[1]]),
-                        pt(ta[2], tb[perm[2]]),
-                    )
-                )
-    return TripleSystem.from_triples(a.n * b.n, triples)
+    rows = np.arange(a.n)[:, None, None] * nb + b.triples
+    columns = a.triples * nb + np.arange(nb)[:, None, None]
+    orders = np.array(list(permutations(range(3))))
+    mixed = a.triples[:, None, None, :] * nb + b.triples[:, orders]
+    blocks = (rows, columns, mixed)
+    return TripleSystem(a.n * nb, np.concatenate([t.reshape(-1, 3) for t in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +295,13 @@ class LabelingError(ConstructionError):
     pass
 
 
-def label_per_p7(
-    y: TripleSystem, x_points, strict: bool = False
-) -> CyclicLabeling:
+def label_per_p7(y: TripleSystem, x_points) -> CyclicLabeling:
     """Deterministic labeling of Y - X with anchor triples where available.
 
     The generator condition and the anchor triples are unsatisfiable for
     some small groups (e.g. no triple of Y may lie inside Y - X, or the
-    6-torsion subgroup may be all of Z_m); with strict=False such anchors
-    are skipped and flagged on the result, with strict=True they raise.
+    6-torsion subgroup may be all of Z_m); such anchors are skipped, and
+    the flags of the result say which conditions hold.
     """
     x_points = frozenset(x_points)
     if not is_subsystem(y, x_points):
@@ -333,9 +314,6 @@ def label_per_p7(
         raise LabelingError("Y - X is empty")
 
     p7a = _p7a_holds(m)
-    if strict and not p7a:
-        raise LabelingError(f"no generator of Z_{m} satisfies the P7(a) condition")
-
     units = [g for g in range(1, m) if math.gcd(g, m) == 1]
     want_c = m % 3 == 0 and m >= 6
     omega_residues = (
@@ -372,11 +350,7 @@ def label_per_p7(
             if not want_c:
                 break
     if assignment is None:
-        if strict:
-            raise LabelingError("no triple of Y lies inside Y - X for the anchors")
         assignment = {}
-    if strict and want_c and not flags[1]:
-        raise LabelingError("order-3 anchor triples unavailable inside Y - X")
 
     used_pts = set(assignment.values())
     free_pts = [p for p in comp if p not in used_pts]
@@ -420,8 +394,8 @@ class MooreInput:
             raise ConstructionError("bad labeling: " + "; ".join(problems))
 
     @classmethod
-    def build(cls, y, x_points, v, strict_labeling: bool = False) -> "MooreInput":
-        return cls(y, frozenset(x_points), v, label_per_p7(y, x_points, strict_labeling))
+    def build(cls, y, x_points, v) -> "MooreInput":
+        return cls(y, frozenset(x_points), v, label_per_p7(y, x_points))
 
     @property
     def m(self) -> int:
@@ -468,7 +442,7 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     res = lab.residue_of()
     blocks = []
     u_base = len(inp.x_points) + np.arange(inp.v.n, dtype=np.int32)[:, None] * m
-    for t in inp.y.iter_triples():
+    for t in inp.y.triples.tolist():
         outs = [res[p] for p in t if p not in inp.x_points]
         ins = [xi[p] for p in t if p in inp.x_points]
         if not outs:  # (M1) triples inside X
@@ -564,7 +538,7 @@ def embed_subsystem(x_size: int, y0_size: int):
         return base_sts(y0_size), frozenset(range(x_size))
     if x_size == 3:
         ts = base_sts(y0_size)
-        return ts, frozenset(ts.iter_triples().__next__())
+        return ts, frozenset(ts.triples[0].tolist())
     if y0_size == 2 * x_size + 1:
         inner = base_sts(x_size)
         return double(inner), frozenset(range(x_size))
@@ -600,6 +574,8 @@ class BlockDesign:
         sizes = {len(b) for b in self.blocks}
         if len(sizes) > 1:
             raise ConstructionError("blocks must share one size")
+        if any(b[0] < 0 or b[-1] >= self.n for b in self.blocks if b):
+            raise ConstructionError(f"block points must lie in 0..{self.n - 1}")
         seen = set()
         for b in self.blocks:
             for i in range(len(b)):
@@ -617,39 +593,33 @@ class BlockDesign:
 
     @classmethod
     def from_sts(cls, ts: TripleSystem) -> "BlockDesign":
-        return cls(ts.n, tuple(ts.iter_triples()))
+        return cls(ts.n, ts.triples.tolist())
 
 
 def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
     """Blow up each block of the design into a copy of s.
 
     Output on 2w+1 points: a new point at index 0, then the two point
-    classes (1, b) -> 1 + b and (2, b) -> 1 + w + b.
+    classes (1, b) -> 1 + b and (2, b) -> 1 + w + b.  Point 0 of s maps
+    onto the new point and its i-th spoke (q, r) onto the points (1, b),
+    (2, b) of the i-th point b of the block.  Every copy maps the spokes
+    onto triples {0, 1 + b, 1 + w + b}; these are added once, and each
+    copy adds the images of the triples of s off point 0.
     """
     k = design.k
     if s.n != 2 * k + 1:
         raise ConstructionError(f"|s| = {s.n} but blocks have size {k}")
     w = design.n
-    inf = 0
-
-    def pt(cls_, b):
-        return 1 + (cls_ - 1) * w + b
-
-    anchor = 0  # point of s mapped onto the new point; it lies in k triples
-    spokes = s.incidence.pairs[anchor]
-
-    triples = set()
-    for b in range(w):
-        triples.add(tuple(sorted((inf, pt(1, b), pt(2, b)))))
-    for block in design.blocks:
-        mapping = {anchor: inf}
-        for (u_, w_), b in zip(spokes, block):
-            mapping[u_] = pt(1, b)
-            mapping[w_] = pt(2, b)
-        for t in s.iter_triples():
-            img = tuple(sorted(mapping[p] for p in t))
-            triples.add(img)
-    return TripleSystem.from_triples(2 * w + 1, sorted(triples))
+    through = s.triples[:, 0] == 0  # point 0 is least, so it leads its rows
+    spokes = s.triples[through, 1:]
+    blocks = np.array(design.blocks, dtype=np.int64)
+    relabel = np.zeros((len(design.blocks), s.n), dtype=np.int64)  # one row per block
+    relabel[:, spokes[:, 0]] = 1 + blocks
+    relabel[:, spokes[:, 1]] = 1 + w + blocks
+    b = np.arange(w)
+    centre = np.stack([np.zeros(w, dtype=np.int64), 1 + b, 1 + w + b], axis=1)
+    copies = relabel[:, s.triples[~through]].reshape(-1, 3)
+    return TripleSystem(2 * w + 1, np.concatenate([centre, copies]))
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _is_vsf(inp: MooreInput, s: tuple, f: dict) -> bool:
     if any(a not in a6 for a in f.values()):
         return False
     sset = set(s)
-    for t in inp.v.iter_triples():
+    for t in inp.v.triples.tolist():
         if set(t) <= sset and (f[t[0]] + f[t[1]] + f[t[2]]) % m != 0:
             return False
     return True
@@ -177,7 +177,7 @@ def all_vsf(inp: MooreInput) -> list:
     """
     m = inp.m
     a6 = sorted(inp.labeling.a6())
-    triples = list(inp.v.iter_triples())
+    triples = inp.v.triples.tolist()
     n = inp.v.n
     out = []
 

@@ -43,64 +43,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order_of_two(p: int) -> int:
-    """Order of 2 modulo an odd prime p."""
-    order = 1
-    acc = 2 % p
-    while acc != 1:
-        acc = acc * 2 % p
-        order += 1
-    return order
-
-
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def choose_K(v1: int, v2: int, strategy: str = "smallest") -> tuple:
+def choose_K(v1: int, v2: int) -> tuple:
     """Pick (k, K) with K = 2^k - 1 = 7 (mod 24) coprime to v1-1, v2-1.
 
     Every odd k >= 3 already gives 2^k = 8 (mod 24), hence K = 7 (mod 24);
-    the search is over odd primes k > 3.
-
-    strategy "smallest": smallest prime k with gcd(K, vi - 1) = 1 checked
-    directly.  strategy "order": smallest prime k coprime to the orders of
-    2 modulo every odd prime divisor of (v1-1)(v2-1), a sufficient
-    condition that avoids factoring the huge K.
+    k is the smallest prime above 3 with gcd(K, vi - 1) = 1, checked
+    directly.
     """
     if v1 % 2 == 0 or v2 % 2 == 0 or v1 < 3 or v2 < 3:
         raise ParameterError("component orders must be odd and >= 3")
-    if strategy == "order":
-        orders = [
-            multiplicative_order_of_two(p)
-            for p in set(_prime_factors(v1 - 1) + _prime_factors(v2 - 1))
-            if p % 2 == 1
-        ]
-        k = 5
-        while True:
-            if _is_prime(k) and all(o % k != 0 for o in orders):
-                break
-            k += 2
-    elif strategy == "smallest":
-        k = 5
-        while True:
-            if _is_prime(k):
-                K = (1 << k) - 1
-                if math.gcd(K, v1 - 1) == 1 and math.gcd(K, v2 - 1) == 1:
-                    break
-            k += 2
-    else:
-        raise ParameterError(f"unknown strategy {strategy!r}")
+    k = 5
+    while not _is_prime(k) or math.gcd((1 << k) - 1, (v1 - 1) * (v2 - 1)) != 1:
+        k += 2
     K = (1 << k) - 1
     if K % 24 != 7 or math.gcd(K, v1 - 1) != 1 or math.gcd(K, v2 - 1) != 1:
         raise VerificationError(f"K = 2^{k} - 1 fails K = 7 (mod 24) or coprimality")

@@ -22,6 +22,7 @@ from .system import (
     TripleSystem,
     VerificationError,
     _chunks,
+    is_subsystem,
 )
 
 
@@ -62,7 +63,7 @@ def cyclic_pstss(t: int) -> CyclicPstss:
 
 def is_cyclic_pstss(ps) -> bool:
     """Check the defining property: triples meeting pairwise form a cycle."""
-    triples = list(ps.iter_triples())
+    triples = ps.triples.tolist()
     k = len(triples)
     if k < 3:
         return False
@@ -165,22 +166,18 @@ def _attach(v, rs: list) -> AttachedSystem:
     points as one block, in base-point order.
     """
     n = v.n
-    triples = list(v.iter_triples())
+    blocks = [v.triples]
     gadget_points = []
     next_free = n
     for p in range(n):
         q = build_qr(rs[p])
-        relabel = {}
-        for local in range(q.n):
-            if local == q.z:
-                relabel[local] = p
-            else:
-                relabel[local] = next_free
-                next_free += 1
-        for t in q.system.iter_triples():
-            triples.append(tuple(sorted(relabel[x] for x in t)))
-        gadget_points.append(tuple(relabel[local] for local in range(q.n)))
-    system = PartialTripleSystem.from_triples(next_free, triples)
+        local = np.arange(q.n)
+        relabel = next_free + local - (local > q.z)
+        relabel[q.z] = p
+        blocks.append(relabel[q.system.triples])
+        gadget_points.append(tuple(relabel.tolist()))
+        next_free += q.n - 1
+    system = PartialTripleSystem(next_free, np.concatenate(blocks))
     return AttachedSystem(
         system=system, base_n=n, gadget_of=tuple(gadget_points), gadget_r=tuple(rs)
     )
@@ -276,7 +273,7 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
         raise PstssError("vprime has more points than the ground set")
     removed = []
     added = []
-    for va, vb, vc in vprime.iter_triples():
+    for va, vb, vc in vprime.triples.tolist():
         a, b, c = 1 << va, 1 << vb, 1 << vc
         ab, ac, bc = a | b, a | c, b | c
         removed += [(ab, ac, bc), (a, b, ab), (a, c, ac), (b, c, bc)]
@@ -356,7 +353,7 @@ def check_property_44(rep: ReplacedSystem) -> bool:
     """Each pair-type point of a switched triple is in exactly two
     non-line triples of the system."""
     degree = Counter(p for t in nonspace_triples(rep) for p in t)
-    for va, vb, vc in rep.vprime.iter_triples():
+    for va, vb, vc in rep.vprime.triples.tolist():
         a, b, c = 1 << va, 1 << vb, 1 << vc
         for pair_mask in (a | b, a | c, b | c):
             if degree.get(pair_mask - 1, 0) != 2:
@@ -486,12 +483,9 @@ def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
         if wprime.system.n > v.n:
             break
         rounds += 1
-    base = wprime.system
-    triples = list(base.iter_triples())
-    off = base.n
-    for t in v.iter_triples():
-        triples.append(tuple(sorted(p + off for p in t)))
-    combined = PartialTripleSystem.from_triples(off + v.n, triples)
+    off = wprime.system.n
+    triples = np.concatenate([wprime.system.triples, v.triples + off])
+    combined = PartialTripleSystem(off + v.n, triples)
     return Corollary46Result(
         wprime=wprime,
         combined=combined,
@@ -515,8 +509,6 @@ def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
     The symmetry of the result is the set-stabilizer of v1 in the
     symmetry of v.
     """
-    from .system import is_subsystem
-
     v1 = frozenset(v1)
     if any(not 0 <= x < v.n for x in v1):
         raise PstssError(f"v1 points must lie in 0..{v.n - 1}")
@@ -527,10 +519,9 @@ def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
     order = sorted(v1)
     primed = {x: v.n + i for i, x in enumerate(order)}
     z = v.n + len(order)
-    triples = list(v.iter_triples())
-    for x in order:
-        triples.append(tuple(sorted((x, primed[x], z))))
-    system = PartialTripleSystem.from_triples(z + 1, triples)
+    x = np.array(order, dtype=np.int64)
+    pendant = np.stack([x, v.n + np.arange(x.size), np.full(x.size, z)], axis=1)
+    system = PartialTripleSystem(z + 1, np.concatenate([v.triples, pendant]))
     return Corollary47Result(
         system=system,
         v_points=tuple(range(v.n)),

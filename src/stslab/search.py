@@ -297,20 +297,18 @@ class IsoCertificate:
 
     isomorphic: bool
     mapping: tuple | None = None
-    canonical_a: tuple | None = None
-    canonical_b: tuple | None = None
 
 
 def are_isomorphic(a, b, budget: int | None = None) -> IsoCertificate:
     """Decide isomorphism; a returned map is verified triple-to-triple."""
     if type(a) is not type(b) or a.n != b.n or a.n_triples != b.n_triples:
-        return IsoCertificate(False, canonical_a=(a.n, None), canonical_b=(b.n, None))
+        return IsoCertificate(False)
     ca = _canonical_labeling(a, budget)
     cb = _canonical_labeling(b, budget)
     if ca.form != cb.form:
-        return IsoCertificate(False, canonical_a=ca.form, canonical_b=cb.form)
+        return IsoCertificate(False)
     inv_b = pm.inverse(cb.labeling)
     mapping = tuple(inv_b[label] for label in ca.labeling)
     if not _maps_into(a.incidence.triples, b.incidence.third, mapping):
         raise VerificationError("canonical labelings disagree")
-    return IsoCertificate(True, mapping=mapping, canonical_a=ca.form, canonical_b=cb.form)
+    return IsoCertificate(True, mapping=mapping)

@@ -143,8 +143,7 @@ class _SystemBase:
         return self.triples.shape[0]
 
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        for row in self.triples:
-            yield (int(row[0]), int(row[1]), int(row[2]))
+        return map(tuple, self.triples.tolist())
 
     @cached_property
     def incidence(self) -> Incidence:
@@ -358,17 +357,17 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
 
     Returns (system, old_of_new) where old_of_new[i] is the ambient index of
     the i-th point of the restriction.  A full system restricted to a set
-    that is not closed raises InvalidSystemError.
+    that is not closed raises InvalidSystemError, and a point outside
+    0..n-1 raises ValueError.
     """
-    pts = sorted(set(points))
-    index = {p: i for i, p in enumerate(pts)}
-    sub = [
-        (index[a], index[b], index[c])
-        for (a, b, c) in ts.iter_triples()
-        if a in index and b in index and c in index
-    ]
+    pts = np.unique(np.fromiter(points, dtype=np.int64))
+    if pts.size and (pts[0] < 0 or pts[-1] >= ts.n):
+        raise ValueError(f"restricted points must lie in 0..{ts.n - 1}")
+    new_of_old = np.full(ts.n, -1, dtype=np.int32)
+    new_of_old[pts] = np.arange(pts.size)
+    rows = new_of_old[ts.triples]
     cls = TripleSystem if isinstance(ts, TripleSystem) else PartialTripleSystem
-    return cls.from_triples(len(pts), sub), pts
+    return cls(pts.size, rows[np.all(rows >= 0, axis=1)]), pts.tolist()
 
 
 # ---------------------------------------------------------------------------

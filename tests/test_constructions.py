@@ -40,7 +40,8 @@ from stslab import (
 from stslab import constructions
 from stslab.perm import PermutationGroup
 from stslab.constructions import _is_projective_15, _moore_triples, random_sts
-from stslab.system import span
+from stslab.pstss import attach_gadgets, corollary46_build, corollary47_build, cyclic_pstss
+from stslab.system import restrict, span
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +207,13 @@ def test_labeling_m12_anchors():
     assert not lab.check(y, frozenset(x))
 
 
-def test_strict_labeling_raises_when_unsatisfiable():
+def test_labeling_flags_unsatisfiable_conditions():
+    """Z_8 has a unit c = 5 with 6(c - 1) = 0, and the anchors are skipped;
+    the labeling is still valid and its flags say so."""
     y = double(base_sts(7))
-    with pytest.raises(LabelingError):
-        label_per_p7(y, range(7), strict=True)
+    lab = label_per_p7(y, range(7))
+    assert (lab.p7a_strict, lab.p7b_anchor, lab.p7c_anchor) == (False, False, False)
+    assert not lab.check(y, frozenset(range(7)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +413,10 @@ def test_block_design_validation():
     BlockDesign.from_sts(base_sts(7))
     with pytest.raises(ConstructionError):
         BlockDesign(4, [(0, 1, 2), (0, 1, 3)])
+    # three pairs match the pair count of 3 points: only the range check fails
+    for block in [(0, 1, 5), (-1, 0, 1)]:
+        with pytest.raises(ConstructionError, match=r"0\.\.2"):
+            BlockDesign(3, [block])
 
 
 def test_paired_via_design_valid():
@@ -423,6 +431,62 @@ def test_paired_via_design_anchor_degree_mismatch():
     STS(2k+1), so it cannot be built and handed to paired_via_design."""
     with pytest.raises(InvalidSystemError, match="triple count 1, expected 7"):
         TripleSystem(7, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# systems built from systems
+
+
+_BASE = (3, 7, 9, 13, 15)
+
+
+def _built_from_systems(family):
+    """The systems one construction builds from others on a fixed grid."""
+    if family == "double":
+        yield from (double(base_sts(n)) for n in (*_BASE, 19, 21, 25, 27))
+        yield from (double(pg_sts(d)) for d in (3, 4))
+    elif family == "direct_product":
+        yield from (direct_product(base_sts(a), base_sts(b)) for a in _BASE for b in _BASE)
+    elif family == "attach_gadgets":
+        yield from (attach_gadgets(base_sts(n)).system for n in _BASE)
+    elif family == "corollary46_build":
+        for v in _BASE:
+            yield from (corollary46_build(base_sts(v), base_sts(w)).combined for w in _BASE)
+    elif family == "corollary47_build":
+        for v in (base_sts(7), pg_sts(3)):
+            yield corollary47_build(v, v.triples[0].tolist()).system
+        yield corollary47_build(pg_sts(3), span(pg_sts(3), {0, 1, 3})).system
+    elif family == "paired_via_design":
+        for d in (base_sts(7), base_sts(9), pg_sts(3)):
+            yield paired_via_design(base_sts(7), BlockDesign.from_sts(d))
+    elif family == "restrict":
+        pg4 = pg_sts(4)
+        yield from (restrict(pg4, span(pg4, seed))[0] for seed in ({0, 1}, {0, 1, 3}, {0, 1, 3, 7}))
+        for pts in ({0, 1, 2}, {0, 1, 3, 5, 7}, {1, 2, 3, 4, 9}):
+            yield restrict(cyclic_pstss(5).system, pts)[0]
+
+
+# SHA-256 over "n:" and the row bytes of each system of the grid above, as
+# built by the per-triple loops over relabel dicts that the row gathers
+# replaced
+_BUILT_FROM_SYSTEMS_SHA256 = {
+    "double": "bf61893f65ecf839093f7fd4d3055fd893e981c7f35f823505c1eaa788c53241",
+    "direct_product": "1009f13e22ebfdc3a1a8f944a491fc76d54336ec95a2f6a827fff5dcc16c12f7",
+    "attach_gadgets": "86295806b57104d2d18cf44d8fe0519e57d723bb882c8903e59805564f98aa52",
+    "corollary46_build": "c00ff3165e93514280d9e4d0222a6eeaf77f0e3e8729154547dfb608846cd7fb",
+    "corollary47_build": "e857b5298d368c9d5189f2a6497b9702a2d9aa394aa11cfa6b8b8f404e85e4a9",
+    "paired_via_design": "2c13ff7e2036bd5e105ad960acbdaf16899496815b06f806939f7e185fd98a48",
+    "restrict": "60a49680438004ee7a214f8e6d3442fb664b619086d23561f31783fa9aab643f",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BUILT_FROM_SYSTEMS_SHA256))
+def test_built_from_systems_match_recorded_digest(family):
+    digest = hashlib.sha256()
+    for ts in _built_from_systems(family):
+        digest.update(f"{ts.n}:".encode())
+        digest.update(ts.triples.tobytes())
+    assert digest.hexdigest() == _BUILT_FROM_SYSTEMS_SHA256[family]
 
 
 def test_random_sts_valid():

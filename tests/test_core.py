@@ -284,6 +284,14 @@ def test_restrict_to_an_open_set_raises():
     assert small.n_triples == 0
 
 
+@pytest.mark.parametrize("outside", [-1, 8, 99])
+def test_restrict_rejects_points_out_of_range(outside):
+    """A point outside 0..n-1 must not come back as a point of the
+    restriction, nor wrap round to n - 1 as a gather index."""
+    with pytest.raises(ValueError, match=r"0\.\.7"):
+        restrict(cyclic_pstss(4).system, {0, 1, 2, outside})
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -742,34 +750,49 @@ def _raises_assertion_error(node) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_no_assert_statements_in_library():
-    """Runtime checks raise typed errors, not assert (which `python -O`
-    strips) or a bare AssertionError."""
+def _library_sites(match, skip=()) -> list:
+    """The file:line of each AST node that match accepts, over the
+    modules of src/stslab not named in skip."""
     src = Path(__file__).resolve().parents[1] / "src" / "stslab"
-    paths = sorted(src.glob("*.py"))
-    found = [
+    paths = sorted(p for p in src.glob("*.py") if p.name not in skip)
+    assert paths
+    return [
         f"{path.name}:{node.lineno}"
         for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+        if match(node)
     ]
-    assert paths and not found, found
+
+
+def _calls(node, names) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    )
+
+
+def test_no_assert_statements_in_library():
+    """Runtime checks raise typed errors, not assert (which `python -O`
+    strips) or a bare AssertionError."""
+    found = _library_sites(
+        lambda node: isinstance(node, ast.Assert) or _raises_assertion_error(node)
+    )
+    assert not found, found
 
 
 def test_only_the_system_module_validates():
     """A system is valid because it was built, so no other library module
     calls a validate function."""
-    src = Path(__file__).resolve().parents[1] / "src" / "stslab"
-    paths = sorted(p for p in src.glob("*.py") if p.name != "system.py")
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None))
-        in ("validate_sts", "validate_pstss")
-    ]
-    assert paths and not found, found
+    found = _library_sites(
+        lambda node: _calls(node, ("validate_sts", "validate_pstss")), skip=("system.py",)
+    )
+    assert not found, found
+
+
+def test_no_library_module_reads_rows_through_iter_triples():
+    """Constructions relabel the triples array by gathers, and the loops
+    that remain read triples.tolist() once; iter_triples is for users."""
+    found = _library_sites(lambda node: _calls(node, ("iter_triples",)))
+    assert not found, found
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,7 @@ from stslab import (
     solve_order,
     threshold,
 )
-from stslab.params import ADMISSIBLE_DELTAS, multiplicative_order_of_two
+from stslab.params import ADMISSIBLE_DELTAS
 
 
 def test_admissible_deltas():
@@ -27,22 +27,13 @@ def test_admissible_deltas():
     assert all(d % 6 in (1, 3) for d in ADMISSIBLE_DELTAS)
 
 
-def test_multiplicative_order_of_two():
-    assert multiplicative_order_of_two(7) == 3
-    assert multiplicative_order_of_two(31) == 5
-    assert multiplicative_order_of_two(11) == 10
-
-
 def test_choose_K_smallest():
     k, K = choose_K(3, 9)
     assert K == (1 << k) - 1
     assert K % 24 == 7
     assert math.gcd(K, 2) == 1
-
-
-def test_choose_K_order_strategy_sufficient():
     for v1, v2 in [(3, 9), (7, 15), (9, 87)]:
-        k, K = choose_K(v1, v2, strategy="order")
+        k, K = choose_K(v1, v2)
         assert K == (1 << k) - 1 and K % 24 == 7
         assert math.gcd(K, v1 - 1) == 1 and math.gcd(K, v2 - 1) == 1
 
