@@ -32,6 +32,9 @@ def test_choose_K_smallest():
     assert K == (1 << k) - 1
     assert K % 24 == 7
     assert math.gcd(K, 2) == 1
+
+
+def test_choose_K_order_strategy_sufficient():
     for v1, v2 in [(3, 9), (7, 15), (9, 87)]:
         k, K = choose_K(v1, v2)
         assert K == (1 << k) - 1 and K % 24 == 7
