@@ -169,8 +169,9 @@ def _attach(v, rs: list) -> AttachedSystem:
     blocks = [v.triples]
     gadget_points = []
     next_free = n
+    gadgets = {r: build_qr(r) for r in dict.fromkeys(rs)}
     for p in range(n):
-        q = build_qr(rs[p])
+        q = gadgets[rs[p]]
         local = np.arange(q.n)
         relabel = next_free + local - (local > q.z)
         relabel[q.z] = p
@@ -469,20 +470,16 @@ class Corollary46Result:
 def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
     """Rigidify W with distinct gadget sizes, then adjoin V disjointly.
 
-    Gadget k on the k-th point of W uses parameter k|W|, so no two
-    gadgets are isomorphic; repetition with fresh sizes enforces
+    Gadget k on the k-th point of W uses parameter k|W|·rounds, so no
+    two gadgets are isomorphic.  W' has n + Σ_k (4 r_k + 9) points, that
+    is 10n + 2n²(n+1)·rounds, and `rounds` is the least that makes
     |W'| > |V|.
     """
     n = w.n
     if n < 1:
         raise PstssError("W needs at least one point")
-    rounds = 1
-    while True:
-        rs = [(k + 1) * n * rounds for k in range(n)]
-        wprime = _attach(w, rs)
-        if wprime.system.n > v.n:
-            break
-        rounds += 1
+    rounds = max(1, (v.n - 10 * n) // (2 * n * n * (n + 1)) + 1)
+    wprime = _attach(w, [(k + 1) * n * rounds for k in range(n)])
     off = wprime.system.n
     triples = np.concatenate([wprime.system.triples, v.triples + off])
     combined = PartialTripleSystem(off + v.n, triples)

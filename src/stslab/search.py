@@ -1,9 +1,6 @@
 """Exact automorphism / isomorphism engine for (partial) triple systems.
 
-One individualization-refinement search answers every question.  The
-refinement invariant colors each point by the multiset of color pairs it
-sees through its triples, iterated to a fixpoint; individualized points
-carry their sequence rank so refined colors are relabeling-invariant.  A
+One individualization-refinement search answers every question.  A
 depth-first search individualizes points of the smallest non-singleton cell
 until the coloring is discrete.  Each leaf is a labeling; its key is the
 relabeled sorted triple list, and the leaf with the smallest key gives the
@@ -13,11 +10,21 @@ refinement only prunes, it never decides.
 Refinement starts from the cycle-structure seed of `_cycle_seed` (the
 cycle graphs of Colbourn & Rosa, "Triple Systems", 1999, ch. 7), not from
 one cell.  The seed depends on the system alone: relabeling a system by g
-relabels its seed by g.  So every refined coloring stays relabeling-
-invariant, which is all the argument below needs, and the search stays
-exact.  Where pairs differ in cycle type the seed splits the points, and a
-random STS(27) needs one node instead of 17,578.  A system whose pairs all
-share one type, such as PG(n, 2), gets one cell and the old tree.
+relabels its seed by g.  Where pairs differ in cycle type the seed splits
+the points, and a random STS(27) needs one node instead of 17,578.  A
+system whose pairs all share one type, such as PG(n, 2), gets one cell.
+
+A node refines its parent's coloring.  The point individualized last gets
+the color just after the earlier ones, which keeps the marked points first.
+Each round then recolors every point by its color and the sorted color
+pairs it sees through its triples, until no cell splits.  By induction the
+parent's coloring is the coarsest equitable partition refining the seed
+with the earlier points individualized.  Every equitable partition that
+refines the seed with the whole sequence individualized therefore refines
+the parent's coloring too, so starting from the parent reaches the same
+partition as starting from the seed; only the order of the cells may
+differ.  So a node's coloring is a function of the system and its sequence
+that commutes with relabeling, which is all the argument below needs.
 
 Two leaves with equal keys differ by an automorphism, and the search keeps
 every such automorphism.  These generate the whole group (McKay & Piperno,
@@ -43,9 +50,11 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import perm as pm
 from .perm import PermutationGroup
-from .system import VerificationError
+from .system import VerificationError, _triple_keys
 
 DEFAULT_NODE_BUDGET = 10**8
 BUDGET_ENV_VAR = "STSLAB_NODE_BUDGET"
@@ -61,6 +70,7 @@ class SearchStats:
     max_depth: int = 0  # longest individualized sequence refined
     seed_points: int = 0  # points whose pairs the seed has walked
     seed_s: float = 0.0
+    rounds: int = 0  # refinement rounds, summed over all refine calls
 
 
 class BudgetExceededError(RuntimeError):
@@ -131,6 +141,7 @@ class _SearchData:
     def __init__(self, system, budget: int | None = None):
         self.n = system.n
         self.inc = system.incidence
+        self.triples = system.triples
         self.budget = node_budget(budget)
         self.stats = SearchStats()
         self.best_key = None
@@ -150,25 +161,36 @@ class _SearchData:
         self.charge()
         self.stats.seed_points += 1
 
-    def refine(self, marked: tuple) -> tuple:
-        """Equitable coloring refining the seed, with the points of `marked`
-        individualized."""
+    def refine(self, colors: tuple, seq: tuple) -> tuple:
+        """Equitable coloring refining `colors`, the coloring of the node
+        for seq[:-1] (the seed at the root), with seq[-1], a point of a
+        non-singleton cell, individualized."""
         self.charge()
         self.stats.refine_calls += 1
-        self.stats.max_depth = max(self.stats.max_depth, len(marked))
+        self.stats.max_depth = max(self.stats.max_depth, len(seq))
         n = self.n
-        mrank = {p: i for i, p in enumerate(marked)}
         pairs = self.inc.pairs
-        colors = self.seed
+        if seq:  # the new point goes right after the marked ones
+            k = len(seq) - 1
+            colors = [c + 1 if c >= k else c for c in colors]
+            colors[seq[-1]] = k
         n_classes = len(set(colors))
         while True:
+            self.stats.rounds += 1
+            sizes = [0] * n_classes
+            for c in colors:
+                sizes[c] += 1
             sigs = []
-            for p in range(n):
-                row = sorted(
-                    (colors[q], colors[r]) if colors[q] <= colors[r] else (colors[r], colors[q])
-                    for q, r in pairs[p]
-                )
-                sigs.append((mrank.get(p, n), colors[p], tuple(row)))
+            for p, c in enumerate(colors):
+                if sizes[c] == 1:  # a singleton's color already fixes its place
+                    sigs.append((c, ()))
+                    continue
+                row = []
+                for q, r in pairs[p]:
+                    cq, cr = colors[q], colors[r]
+                    row.append(cq * n + cr if cq <= cr else cr * n + cq)
+                row.sort()
+                sigs.append((c, tuple(row)))
             distinct = sorted(set(sigs))
             index = {s: i for i, s in enumerate(distinct)}
             colors = [index[s] for s in sigs]
@@ -178,23 +200,14 @@ class _SearchData:
         return tuple(colors)
 
 
-def _cells(colors: tuple) -> dict:
-    out: dict = {}
+def _target_cell(colors: tuple) -> list:
+    """Points of the smallest non-singleton cell, the lowest color breaking
+    ties; empty when the coloring is discrete."""
+    cells: dict = {}
     for p, c in enumerate(colors):
-        out.setdefault(c, []).append(p)
-    return out
-
-
-def _target_color(colors: tuple):
-    """Color of the smallest non-singleton cell (lowest color breaks ties)."""
-    best = None
-    for c, pts in _cells(colors).items():
-        if len(pts) < 2:
-            continue
-        key = (len(pts), c)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+        cells.setdefault(c, []).append(p)
+    sizes = [(len(pts), c) for c, pts in cells.items() if len(pts) > 1]
+    return cells[min(sizes)[1]] if sizes else []
 
 
 def _maps_into(triples, third: tuple, p) -> bool:
@@ -215,18 +228,22 @@ def is_automorphism(system, p) -> bool:
     return _maps_into(inc.triples, inc.third, p)
 
 
-def _leaf_key(data: _SearchData, colors: tuple) -> tuple:
-    lab = colors  # discrete: point p gets label colors[p]
-    return tuple(
-        sorted(tuple(sorted((lab[a], lab[b], lab[c]))) for a, b, c in data.inc.triples)
-    )
+def _leaf_key(data: _SearchData, colors: tuple) -> bytes:
+    """The sorted keys a*n^2 + b*n + c of the relabeled triples, as
+    big-endian int64 bytes, which compare like the sorted triple tuples."""
+    rows = np.asarray(colors, dtype=np.int64)[data.triples]  # discrete: p -> colors[p]
+    rows.sort(axis=1)
+    keys = _triple_keys(rows, data.n)
+    keys.sort()
+    return keys.astype(">i8").tobytes()
 
 
-def _canon_dfs(data: _SearchData, seq: tuple) -> int:
-    """Explore the individualization tree; returns unwind depth."""
-    colors = data.refine(seq)
-    target = _target_color(colors)
-    if target is None:
+def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
+    """Explore the individualization tree below the node for `seq`, whose
+    parent's coloring is `parent`; returns unwind depth."""
+    colors = data.refine(parent, seq)
+    cell = _target_cell(colors)
+    if not cell:
         data.stats.leaves += 1
         key = _leaf_key(data, colors)
         if data.best_key is None or key < data.best_key:
@@ -251,7 +268,6 @@ def _canon_dfs(data: _SearchData, seq: tuple) -> int:
                 common += 1
             return common
         return len(seq)
-    cell = [p for p, c in enumerate(colors) if c == target]
     depth = len(seq)
     explored: list = []
     for cand in cell:
@@ -260,7 +276,7 @@ def _canon_dfs(data: _SearchData, seq: tuple) -> int:
             data.stats.pruned += 1
             continue
         explored.append(cand)
-        unwind = _canon_dfs(data, seq + (cand,))
+        unwind = _canon_dfs(data, seq + (cand,), colors)
         if unwind < depth:
             return unwind
     return depth
@@ -276,8 +292,11 @@ class _Canon(NamedTuple):
 def _canonical_labeling(system, budget: int | None = None) -> _Canon:
     """The one search: canonical form, canonical labeling and automorphisms."""
     data = _SearchData(system, budget)
-    _canon_dfs(data, ())
-    return _Canon((system.n, data.best_key), data.best_colors, data.auts, data.stats)
+    _canon_dfs(data, (), data.seed)
+    n = system.n
+    keys = np.frombuffer(data.best_key, dtype=">i8").tolist()
+    form = (n, tuple((k // (n * n), k // n % n, k % n) for k in keys))
+    return _Canon(form, data.best_colors, data.auts, data.stats)
 
 
 def automorphism_group(system, budget: int | None = None) -> PermutationGroup:

@@ -29,6 +29,7 @@ from stslab import (
     validate_pstss,
     validate_sts,
 )
+from stslab import pstss
 from stslab.pstss import _switch_rows, is_cyclic_pstss, nonspace_triples
 from stslab.system import _triple_keys
 
@@ -268,6 +269,29 @@ def test_corollary46():
     assert automorphism_group(out.wprime.system).order == 1
     # the combined symmetry is exactly that of the untouched V copy
     assert automorphism_group(out.combined).order == automorphism_group(v).order
+
+
+def _count_calls(monkeypatch, name) -> list:
+    calls = []
+    wrapped = getattr(pstss, name)
+    monkeypatch.setattr(pstss, name, lambda *args: calls.append(args) or wrapped(*args))
+    return calls
+
+
+def test_attach_builds_each_gadget_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "build_qr")
+    out = attach_gadgets(base_sts(9))
+    assert calls == [(9,)]
+    assert out.system.n == 4 * 81 + 90
+
+
+def test_corollary46_attaches_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_attach")
+    out = corollary46_build(base_sts(999), base_sts(3))
+    assert len(calls) == 1
+    # the fewest rounds with |W'| > |V|: 14 rounds give 1,038 points, 13 give 966
+    assert out.wprime.gadget_r == (42, 84, 126)
+    assert out.wprime.system.n == 1038
 
 
 def test_corollary47_stabilizer():

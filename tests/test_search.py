@@ -9,12 +9,15 @@ from stslab import (
     PartialTripleSystem,
     automorphism_group,
     base_sts,
+    bose,
+    double,
     embed_subsystem,
     moore,
+    pg_sts,
 )
 from stslab import search
 from stslab.constructions import random_sts
-from stslab.search import BudgetExceededError, _canonical_labeling, _SearchData
+from stslab.search import BudgetExceededError, _canonical_labeling, _leaf_key, _SearchData
 from stslab.system import InvalidSystemError
 
 
@@ -113,3 +116,102 @@ def test_small_budget_stops_the_seed(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         automorphism_group(u)
     assert err.value.stats.seed_points == 3
+
+
+def _from_seed(data: _SearchData, marked: tuple) -> list:
+    """The fixpoint refined from the seed with every point of `marked`
+    individualized at once, each by its rank in `marked`."""
+    n, pairs = data.n, data.inc.pairs
+    rank = {p: i for i, p in enumerate(marked)}
+    colors = data.seed
+
+    def row(p):
+        return sorted(tuple(sorted((colors[q], colors[r]))) for q, r in pairs[p])
+
+    while True:
+        sigs = [(rank.get(p, n), colors[p], tuple(row(p))) for p in range(n)]
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(index) == len(set(colors)):
+            return colors
+        colors = [index[s] for s in sigs]
+
+
+def _cells(colors) -> set:
+    cells: dict = {}
+    for p, c in enumerate(colors):
+        cells.setdefault(c, set()).add(p)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+CHAINED = {
+    "pg3": lambda: pg_sts(3),
+    "bose27": lambda: bose(27),
+    "double_base13": lambda: double(base_sts(13)),
+}
+
+
+@pytest.mark.parametrize("name", CHAINED)
+def test_child_refinement_matches_refinement_from_seed(name):
+    """Refining the parent's coloring gives the cells that refining the seed
+    with the whole sequence individualized gives."""
+    ts = CHAINED[name]()
+    rng = random.Random(name)
+    for _ in range(6):
+        data = _SearchData(ts)
+        colors = data.refine(data.seed, ())
+        seq = ()
+        assert _cells(colors) == _cells(_from_seed(data, seq))
+        for depth in range(1, 4):
+            cells = [c for c in _cells(colors) if len(c) > 1]
+            if not cells:
+                break
+            seq += (rng.choice(sorted(rng.choice(sorted(cells, key=min)))),)
+            colors = data.refine(colors, seq)
+            assert _cells(colors) == _cells(_from_seed(data, seq))
+            assert [colors[p] for p in seq] == list(range(depth))  # marked points first
+
+
+FROM_SEED_REFINE_CALLS = {
+    "pg3": (lambda: pg_sts(3), 24),
+    "pg4": (lambda: pg_sts(4), 40),
+    "bose9": (lambda: bose(9), 13),
+    "bose27": (lambda: bose(27), 277),
+    "double_bose9": (lambda: double(bose(9)), 24),
+    "moore_1_7_3": (lambda: _moore(1, 7, 3), 6),
+}
+
+
+@pytest.mark.parametrize("name", FROM_SEED_REFINE_CALLS)
+def test_oracle_systems_need_no_more_nodes(name):
+    """Nodes per search on the benchmark's oracle systems, at most their
+    count when every node refined from the seed."""
+    make, calls = FROM_SEED_REFINE_CALLS[name]
+    stats = _canonical_labeling(make()).stats
+    assert stats.refine_calls <= calls
+    assert stats.rounds >= stats.refine_calls  # each node refines at least once
+
+
+def _relabeled_triples(ts, lab) -> tuple:
+    return tuple(sorted(tuple(sorted(lab[p] for p in t)) for t in ts.iter_triples()))
+
+
+def test_leaf_keys_compare_like_sorted_triples():
+    ts = bose(27)
+    data = _SearchData(ts)
+    rng = random.Random(0)
+    labelings = []
+    for _ in range(12):
+        lab = list(range(ts.n))
+        rng.shuffle(lab)
+        labelings.append(tuple(lab))
+        lab[0], lab[1] = lab[1], lab[0]  # a near neighbour: keys share a long prefix
+        labelings.append(tuple(lab))
+    keys = [_leaf_key(data, lab) for lab in labelings]
+    rows = [_relabeled_triples(ts, lab) for lab in labelings]
+    for i in range(len(labelings)):
+        for j in range(len(labelings)):
+            assert (keys[i] < keys[j]) == (rows[i] < rows[j])
+            assert (keys[i] == keys[j]) == (rows[i] == rows[j])
+    canon = _canonical_labeling(ts)
+    assert canon.form == (ts.n, _relabeled_triples(ts, canon.labeling))
+    assert all(type(x) is int for t in canon.form[1] for x in t)
