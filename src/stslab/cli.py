@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 search
-budget exceeded.  Every file-producing command also writes a sidecar
+budget exceeded.  `main` alone maps errors to codes: a library error
+about the input, or a file that cannot be read or written, prints one
+`error:` line and exits 1; any other error is a fault and surfaces
+as a traceback.  Every file-producing command also writes a sidecar
 point-name map (`<output>.map`) and a JSON run manifest
 (`<output>.manifest.json`) so runs are reproducible byte for byte.
 """
@@ -91,17 +94,8 @@ def _write_outputs(system, args, out: str, names: list | None = None) -> None:
         fh.write("\n")
 
 
-def _load(path: str):
-    try:
-        return read_system(path)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    except FormatError as e:
-        raise CliError(str(e))
-
-
 def _load_sts(path: str) -> TripleSystem:
-    ts = _load(path)
+    ts = read_system(path)
     if not isinstance(ts, TripleSystem):
         raise CliError(f"{path}: expected a full system (header 'sts')")
     return ts
@@ -114,49 +108,44 @@ def _load_sts(path: str) -> TripleSystem:
 def cmd_construct(args) -> int:
     kind = args.kind
     names = None
-    try:
-        if kind in ("bose", "skolem", "base"):
-            fn = {"bose": bose, "skolem": skolem, "base": base_sts}[kind]
-            system = fn(args.n)
-        elif kind == "pg":
-            system = pg_sts(args.dim)
-            names = [f"vector {i + 1:b}" for i in range(system.n)]
-        elif kind == "boolean":
-            system = boolean_space(args.dim).system()
-            names = [f"subset {i + 1:b}" for i in range(system.n)]
-        elif kind == "double":
-            y = _load_sts(args.input)
-            system = double(y)
-            names = [f"y:{i}" for i in range(y.n)]
-            names += [f"y1:{i}" for i in range(y.n)]
-            names += ["*"]
-        elif kind == "product":
-            a = _load_sts(args.input)
-            b = _load_sts(args.other)
-            system = direct_product(a, b)
-            names = [f"({i},{j})" for i in range(a.n) for j in range(b.n)]
-        elif kind == "moore":
-            ysys, xpts = embed_subsystem(args.x, args.y)
-            inp = MooreInput.build(ysys, xpts, base_sts(args.v))
-            system = moore(inp)
-            names = inp.point_names()
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown construction {kind}", EXIT_USAGE)
-    except (ConstructionError, InvalidSystemError) as e:
-        raise CliError(str(e))
+    if kind in ("bose", "skolem", "base"):
+        fn = {"bose": bose, "skolem": skolem, "base": base_sts}[kind]
+        system = fn(args.n)
+    elif kind == "pg":
+        system = pg_sts(args.dim)
+        names = [f"vector {i + 1:b}" for i in range(system.n)]
+    elif kind == "boolean":
+        system = boolean_space(args.dim).system()
+        names = [f"subset {i + 1:b}" for i in range(system.n)]
+    elif kind == "double":
+        y = _load_sts(args.input)
+        system = double(y)
+        names = [f"y:{i}" for i in range(y.n)]
+        names += [f"y1:{i}" for i in range(y.n)]
+        names += ["*"]
+    elif kind == "product":
+        a = _load_sts(args.input)
+        b = _load_sts(args.other)
+        system = direct_product(a, b)
+        names = [f"({i},{j})" for i in range(a.n) for j in range(b.n)]
+    else:  # moore; argparse restricts the kinds
+        ysys, xpts = embed_subsystem(args.x, args.y)
+        inp = MooreInput.build(ysys, xpts, base_sts(args.v))
+        system = moore(inp)
+        names = inp.point_names()
     _write_outputs(system, args, args.output, names)
     print(f"wrote {args.output}: {system.n} points, {system.n_triples} triples")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    system = _load(args.path)  # raises with every violation when invalid
+    system = read_system(args.path)  # raises with every violation when invalid
     print(f"{args.path}: ok ({system.n} points, {system.n_triples} triples)")
     return EXIT_OK
 
 
 def cmd_aut(args) -> int:
-    system = _load(args.path)
+    system = read_system(args.path)
     group = automorphism_group(system, budget=args.budget)
     print(f"order {group.order}")
     for g in group.generators:
@@ -165,8 +154,8 @@ def cmd_aut(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
+    a = read_system(args.a)
+    b = read_system(args.b)
     cert = are_isomorphic(a, b, budget=args.budget)
     if cert.isomorphic:
         print("isomorphic")
@@ -177,17 +166,11 @@ def cmd_iso(args) -> int:
 
 
 def cmd_classify_fano(args) -> int:
-    try:
-        ysys, xpts = embed_subsystem(args.x, args.y)
-        inp = MooreInput.build(ysys, xpts, base_sts(args.v))
-    except ConstructionError as e:
-        raise CliError(str(e))
+    ysys, xpts = embed_subsystem(args.x, args.y)
+    inp = MooreInput.build(ysys, xpts, base_sts(args.v))
     u = moore(inp)
     for pts in enumerate_fano(u):
-        try:
-            c = classify_fano(inp, pts)
-        except ClassificationError as e:
-            raise CliError(str(e))
+        c = classify_fano(inp, pts)
         detail = ""
         if c.kind == "type31":
             detail = f" x={c.x_point} v_triple={c.v_triple} a={c.a_values}"
@@ -203,10 +186,7 @@ def cmd_solve_params(args) -> int:
     if args.check:
         with open(args.check) as fh:
             text = fh.read()
-        try:
-            sol = ParameterSolution.from_text(text)
-        except ParameterError as e:
-            raise CliError(str(e))
+        sol = ParameterSolution.from_text(text)
         problems = sol.check()
         if problems:
             for p in problems:
@@ -216,65 +196,56 @@ def cmd_solve_params(args) -> int:
         return EXIT_OK
     if args.u is None or args.v1 is None or args.v2 is None:
         raise CliError("need --u, --v1, --v2 (or --check)", EXIT_USAGE)
-    try:
-        sol = solve_order(args.u, args.v1, args.v2)
-    except ParameterError as e:
-        raise CliError(str(e))
+    sol = solve_order(args.u, args.v1, args.v2)
     sys.stdout.write(sol.to_text())
     return EXIT_OK
 
 
 def cmd_embed_pstss(args) -> int:
-    try:
-        if args.mode == "theorem13":
-            v = _load(args.input)
-            attached = attach_gadgets(v)
-            n_prime = attached.system.n
-            if n_prime > args.np_cap:
-                raise CliError(
-                    f"decorated system has {n_prime} points; the Boolean space "
-                    f"would need 2^{n_prime} - 1 (cap {args.np_cap})"
-                )
-            rep = replace_triples(boolean_space(n_prime), attached.system, cap=args.np_cap)
-            names = [f"subset {i + 1:b}" for i in range(rep.system.n)]
-            _write_outputs(rep.system, args, args.output, names)
-            print(
-                f"wrote {args.output}: {rep.system.n} points, "
-                f"{rep.system.n_triples} triples ({len(rep.added)} switched in)"
+    if args.mode == "theorem13":
+        v = read_system(args.input)
+        attached = attach_gadgets(v)
+        n_prime = attached.system.n
+        if n_prime > args.np_cap:
+            raise CliError(
+                f"decorated system has {n_prime} points; the Boolean space "
+                f"would need 2^{n_prime} - 1 (cap {args.np_cap})"
             )
-        elif args.mode == "cor46":
-            w = _load_sts(args.input)
-            v = _load_sts(args.other)
-            res = corollary46_build(v, w)
-            names = [
-                f"w:{i}" if i < w.n else f"gadget:{i}" for i in range(res.wprime.system.n)
-            ] + [f"v:{i}" for i in range(v.n)]
-            _write_outputs(res.combined, args, args.output, names)
-            print(f"wrote {args.output}: {res.combined.n} points (pstss)")
-        elif args.mode == "cor47":
-            v = _load_sts(args.input)
-            try:
-                v1 = {int(s) for s in args.v1.split(",")} if args.v1 else set()
-            except ValueError:
-                raise CliError("--v1 must be a comma-separated point list", EXIT_USAGE)
-            res = corollary47_build(v, v1)
-            names = [f"v:{i}" for i in range(v.n)]
-            names += [f"{x}'" for x in res.v1_points]
-            names += ["z"]
-            _write_outputs(res.system, args, args.output, names)
-            print(f"wrote {args.output}: {res.system.n} points (pstss)")
-        else:  # pragma: no cover
-            raise CliError(f"unknown mode {args.mode}", EXIT_USAGE)
-    except PstssError as e:
-        raise CliError(str(e))
+        rep = replace_triples(boolean_space(n_prime), attached.system, cap=args.np_cap)
+        names = [f"subset {i + 1:b}" for i in range(rep.system.n)]
+        _write_outputs(rep.system, args, args.output, names)
+        print(
+            f"wrote {args.output}: {rep.system.n} points, "
+            f"{rep.system.n_triples} triples ({len(rep.added)} switched in)"
+        )
+    elif args.mode == "cor46":
+        if args.other is None:
+            raise CliError("--mode cor46 needs --other", EXIT_USAGE)
+        w = _load_sts(args.input)
+        v = _load_sts(args.other)
+        res = corollary46_build(v, w)
+        names = [
+            f"w:{i}" if i < w.n else f"gadget:{i}" for i in range(res.wprime.system.n)
+        ] + [f"v:{i}" for i in range(v.n)]
+        _write_outputs(res.combined, args, args.output, names)
+        print(f"wrote {args.output}: {res.combined.n} points (pstss)")
+    else:  # cor47; argparse restricts the modes
+        v = _load_sts(args.input)
+        try:
+            v1 = {int(s) for s in args.v1.split(",")} if args.v1 else set()
+        except ValueError:
+            raise CliError("--v1 must be a comma-separated point list", EXIT_USAGE)
+        res = corollary47_build(v, v1)
+        names = [f"v:{i}" for i in range(v.n)]
+        names += [f"{x}'" for x in res.v1_points]
+        names += ["z"]
+        _write_outputs(res.system, args, args.output, names)
+        print(f"wrote {args.output}: {res.system.n} points (pstss)")
     return EXIT_OK
 
 
 def cmd_rigid_search(args) -> int:
-    try:
-        system = rigid_sts_search(args.n, seed=args.seed, max_attempts=args.attempts)
-    except ConstructionError as e:
-        raise CliError(str(e))
+    system = rigid_sts_search(args.n, seed=args.seed, max_attempts=args.attempts)
     _write_outputs(system, args, args.output, None)
     print(f"wrote {args.output}: rigid system on {system.n} points (seed {args.seed})")
     return EXIT_OK
@@ -375,7 +346,21 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except (
+        ClassificationError,
+        ConstructionError,
+        FormatError,
+        InvalidSystemError,
+        ParameterError,
+        PstssError,
+    ) as e:  # the library's errors about its input
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as e:  # a file that cannot be read or written
+        reason = str(e) if e.filename is None else f"{e.strerror}: {e.filename}"
+        print(f"error: {reason}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -32,7 +32,7 @@ class ConstructionError(ValueError):
 
 
 def _admissible(n: int) -> bool:
-    return n in (0, 1) or n % 6 in (1, 3)
+    return n == 0 or n > 0 and n % 6 in (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +41,8 @@ def _admissible(n: int) -> bool:
 
 def bose(n: int) -> TripleSystem:
     """STS(6t+3) over Z_{2t+1} x {0,1,2} via the idempotent quasigroup."""
-    if n % 6 != 3:
-        raise ConstructionError(f"bose needs n = 3 mod 6, got {n}")
+    if n < 3 or n % 6 != 3:
+        raise ConstructionError(f"bose needs n = 3 mod 6, n >= 3, got {n}")
     t = (n - 3) // 6
     q = 2 * t + 1
     half = (t + 1) % q  # multiplicative inverse of 2 mod q
@@ -204,7 +204,7 @@ def is_pg2_paired(ts: TripleSystem, explain: bool = False):
     failing pair, which is the (a, b) of the first failing triple.
     """
     pairs = ts.incidence.pairs
-    for a, b, c in ts.incidence.triples:
+    for a, b, c in ts.triples.tolist():
         planes = set()
         for other in pairs[a]:
             plane = None if other == (b, c) else fano_plane(ts, a, (b, c), other)

@@ -208,25 +208,30 @@ class ParameterSolution:
                 raise ParameterError(f"line {line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            fields[key] = value if key == "branch" else int(value)
+            if key not in cls.__dataclass_fields__:
+                raise ParameterError(f"line {line_no}: unknown key {key!r}")
+            try:
+                fields[key] = value if key == "branch" else int(value)
+            except ValueError:
+                raise ParameterError(f"line {line_no}: {key} = {value!r} is not an integer")
         missing = {f for f in cls.__dataclass_fields__} - set(fields)
         if missing:
             raise ParameterError(f"certificate missing fields: {sorted(missing)}")
         return cls(**fields)
 
 
-def solve_order(u: int, v1: int, v2: int, K: int | None = None, k: int | None = None) -> ParameterSolution:
+def solve_order(u: int, v1: int, v2: int) -> ParameterSolution:
     """Realize the order u exactly; total above the residue threshold.
 
     Tries both construction branches (factor 1 and the Mersenne factor),
     scans admissible (delta, r, v) for the residue class of u, then splits
-    the quotient by the division algorithm into the (a, t) pair.  When
-    several branches work, the smallest resulting y wins.
+    the quotient by the division algorithm into the (a, t) pair.  The
+    Mersenne factor is `choose_K(v1, v2)`.  When several branches work,
+    the smallest resulting y wins.
     """
     if u % 6 not in (1, 3):
         raise ParameterError(f"{u} is not an admissible order (need 1 or 3 mod 6)")
-    if K is None or k is None:
-        k, K = choose_K(v1, v2)
+    k, K = choose_K(v1, v2)
     best: ParameterSolution | None = None
     min_threshold = None
     for kk, KK in ((1, 1), (k, K)):

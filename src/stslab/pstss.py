@@ -40,7 +40,6 @@ class CyclicPstss:
 
     t: int
     system: PartialTripleSystem
-    cycle: tuple  # triples in cycle order
 
     @property
     def n(self) -> int:
@@ -58,7 +57,7 @@ def cyclic_pstss(t: int) -> CyclicPstss:
     cycle = tuple(
         tuple(sorted((2 * j, 2 * j + 1, (2 * j + 2) % (2 * t)))) for j in range(t)
     )
-    return CyclicPstss(t=t, system=PartialTripleSystem.from_triples(2 * t, cycle), cycle=cycle)
+    return CyclicPstss(t=t, system=PartialTripleSystem.from_triples(2 * t, cycle))
 
 
 def is_cyclic_pstss(ps) -> bool:
@@ -99,13 +98,7 @@ class GadgetQ:
     r: int
     system: PartialTripleSystem
     z: int
-    z1: int
-    z2: int
-    zp1: int  # degree-3 neighbor of the pendant point in component 1
-    zp2: int
     zp: int  # the pendant point
-    c1_points: tuple
-    c2_points: tuple
 
     @property
     def n(self) -> int:
@@ -133,18 +126,7 @@ def build_qr(r: int) -> GadgetQ:
     extra = tuple(sorted((2, zp, p2(2))))
     triples = c1 + c2 + [extra]
     system = PartialTripleSystem.from_triples(4 * r + 10, triples)
-    return GadgetQ(
-        r=r,
-        system=system,
-        z=0,
-        z1=1,
-        z2=p2(1),
-        zp1=2,
-        zp2=p2(2),
-        zp=zp,
-        c1_points=tuple(range(n1)),
-        c2_points=tuple(sorted({p2(i) for i in range(n2)})),
-    )
+    return GadgetQ(r=r, system=system, z=0, zp=zp)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +137,6 @@ def build_qr(r: int) -> GadgetQ:
 class AttachedSystem:
     system: PartialTripleSystem
     base_n: int  # points 0..base_n-1 are the original system
-    gadget_of: tuple  # per base point: tuple of its gadget's point indices
     gadget_r: tuple  # per base point: the gadget parameter used
 
 
@@ -167,7 +148,6 @@ def _attach(v, rs: list) -> AttachedSystem:
     """
     n = v.n
     blocks = [v.triples]
-    gadget_points = []
     next_free = n
     gadgets = {r: build_qr(r) for r in dict.fromkeys(rs)}
     for p in range(n):
@@ -176,12 +156,9 @@ def _attach(v, rs: list) -> AttachedSystem:
         relabel = next_free + local - (local > q.z)
         relabel[q.z] = p
         blocks.append(relabel[q.system.triples])
-        gadget_points.append(tuple(relabel.tolist()))
         next_free += q.n - 1
     system = PartialTripleSystem(next_free, np.concatenate(blocks))
-    return AttachedSystem(
-        system=system, base_n=n, gadget_of=tuple(gadget_points), gadget_r=tuple(rs)
-    )
+    return AttachedSystem(system=system, base_n=n, gadget_r=tuple(rs))
 
 
 def attach_gadgets(v) -> AttachedSystem:
@@ -245,7 +222,6 @@ class ReplacedSystem:
     """
 
     system: TripleSystem
-    space: BooleanSpace
     vprime: PartialTripleSystem
     removed: tuple  # triples of P no longer present (point indices)
     added: tuple  # new triples (point indices)
@@ -299,7 +275,6 @@ def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSyste
         override[(y, z)] = x
     return ReplacedSystem(
         system=system,
-        space=space,
         vprime=vprime,
         removed=tuple(removed),
         added=tuple(added),
@@ -462,9 +437,7 @@ class Corollary46Result:
     """W decorated with distinct-size gadgets, next to an untouched V."""
 
     wprime: AttachedSystem
-    combined: PartialTripleSystem
-    w_points: tuple  # indices of the original W inside `combined`
-    v_points: tuple  # indices of the V copy inside `combined`
+    combined: PartialTripleSystem  # W' on 0..|W'|-1, then the V copy
 
 
 def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
@@ -482,22 +455,13 @@ def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
     wprime = _attach(w, [(k + 1) * n * rounds for k in range(n)])
     off = wprime.system.n
     triples = np.concatenate([wprime.system.triples, v.triples + off])
-    combined = PartialTripleSystem(off + v.n, triples)
-    return Corollary46Result(
-        wprime=wprime,
-        combined=combined,
-        w_points=tuple(range(n)),
-        v_points=tuple(range(off, off + v.n)),
-    )
+    return Corollary46Result(wprime=wprime, combined=PartialTripleSystem(off + v.n, triples))
 
 
 @dataclass(frozen=True)
 class Corollary47Result:
     system: PartialTripleSystem
-    v_points: tuple
-    v1_points: tuple
-    primed_of: dict  # v1 point -> its primed partner
-    z: int
+    v1_points: tuple  # x in order; x' is v.n + i for the i-th, and z is last
 
 
 def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
@@ -514,15 +478,8 @@ def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
     if v1 == frozenset(range(v.n)):
         raise PstssError("v1 must be a proper subsystem")
     order = sorted(v1)
-    primed = {x: v.n + i for i, x in enumerate(order)}
     z = v.n + len(order)
     x = np.array(order, dtype=np.int64)
     pendant = np.stack([x, v.n + np.arange(x.size), np.full(x.size, z)], axis=1)
     system = PartialTripleSystem(z + 1, np.concatenate([v.triples, pendant]))
-    return Corollary47Result(
-        system=system,
-        v_points=tuple(range(v.n)),
-        v1_points=tuple(order),
-        primed_of=primed,
-        z=z,
-    )
+    return Corollary47Result(system=system, v1_points=tuple(order))

@@ -93,7 +93,7 @@ def node_budget(override: int | None = None) -> int:
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
 
 
-def _cycle_seed(n: int, inc, charge) -> list:
+def _cycle_seed(system, charge) -> list:
     """Isomorphism-invariant point colors from the cycle structure of pairs.
 
     For a pair {a, b} on the triple {a, b, c}, x -> third(b, third(a, x))
@@ -103,9 +103,10 @@ def _cycle_seed(n: int, inc, charge) -> list:
     A system gets all zeros unless it covers every pair, which its m
     pair-disjoint triples do iff 3m = n(n-1)/2.
     """
-    third = inc.third
-    if 3 * len(inc.triples) != n * (n - 1) // 2:
+    n = system.n
+    if 3 * system.n_triples != n * (n - 1) // 2:
         return [0] * n
+    third = system.incidence.third
     types: dict = {}  # cycle type -> both points of each pair of that type
     for a in range(n):
         charge()
@@ -142,6 +143,7 @@ class _SearchData:
         self.n = system.n
         self.inc = system.incidence
         self.triples = system.triples
+        self.rows = system.triples.tolist()  # for the automorphism check
         self.budget = node_budget(budget)
         self.stats = SearchStats()
         self.best_key = None
@@ -149,7 +151,7 @@ class _SearchData:
         self.best_seq = None
         self.auts = []
         start = time.perf_counter()
-        self.seed = _cycle_seed(self.n, self.inc, self._charge_seed)
+        self.seed = _cycle_seed(system, self._charge_seed)
         self.stats.seed_s = time.perf_counter() - start
 
     def charge(self) -> None:
@@ -224,8 +226,7 @@ def is_automorphism(system, p) -> bool:
     p = tuple(p)
     if len(p) != system.n or not pm.is_permutation(p):
         return False
-    inc = system.incidence
-    return _maps_into(inc.triples, inc.third, p)
+    return _maps_into(system.triples.tolist(), system.incidence.third, p)
 
 
 def _leaf_key(data: _SearchData, colors: tuple) -> bytes:
@@ -256,7 +257,7 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
             # automorphism fixing the common prefix of the two sequences
             inv_best = pm.inverse(data.best_colors)
             g = tuple(inv_best[colors[p]] for p in range(data.n))
-            if not _maps_into(data.inc.triples, data.inc.third, g):
+            if not _maps_into(data.rows, data.inc.third, g):
                 raise VerificationError("equal-key leaves gave a non-automorphism")
             data.auts.append(g)
             common = 0
@@ -328,6 +329,6 @@ def are_isomorphic(a, b, budget: int | None = None) -> IsoCertificate:
         return IsoCertificate(False)
     inv_b = pm.inverse(cb.labeling)
     mapping = tuple(inv_b[label] for label in ca.labeling)
-    if not _maps_into(a.incidence.triples, b.incidence.third, mapping):
+    if not _maps_into(a.triples.tolist(), b.incidence.third, mapping):
         raise VerificationError("canonical labelings disagree")
     return IsoCertificate(True, mapping=mapping)

@@ -115,7 +115,6 @@ class Incidence(NamedTuple):
     and -1 on the diagonal and on every pair that no triple covers.
     """
 
-    triples: tuple  # sorted int 3-tuples, in row order
     third: tuple  # n rows of n ints: the third-point table above
     pairs: tuple  # per point p: the pairs (q, r), q < r, with {p, q, r} a triple
 
@@ -152,10 +151,9 @@ class _SystemBase:
         Built on first use; the array path (construct, validate, write,
         read) never builds it.
         """
-        triples = tuple(map(tuple, self.triples.tolist()))
         third = [[-1] * self.n for _ in range(self.n)]
         pairs = [[] for _ in range(self.n)]
-        for a, b, c in triples:
+        for a, b, c in self.triples.tolist():
             ta, tb, tc = third[a], third[b], third[c]
             ta[b] = tb[a] = c
             ta[c] = tc[a] = b
@@ -165,11 +163,11 @@ class _SystemBase:
             pairs[c].append((a, b))
         for i, row in enumerate(third):  # in place: one list row is alive at a time
             third[i] = tuple(row)
-        return Incidence(triples, tuple(third), tuple(map(tuple, pairs)))
+        return Incidence(tuple(third), tuple(map(tuple, pairs)))
 
     def pair_third(self) -> dict:
         """Map each covered pair (a, b) with a < b to the third point (a copy)."""
-        third, rows = self.incidence.third, self.incidence.triples
+        third, rows = self.incidence.third, self.triples.tolist()
         return {(x, y): third[x][y] for a, b, c in rows for x, y in ((a, b), (a, c), (b, c))}
 
     def degrees(self) -> np.ndarray:

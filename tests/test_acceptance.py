@@ -217,7 +217,7 @@ def test_criterion_07_order_arithmetic():
     cover_ok = cover >= admissible
 
     v1, v2 = 21, 87
-    k, K = choose_K(v1, v2)
+    _, K = choose_K(v1, v2)
     start = global_threshold(v1, v2, K)
     start += (1 - start) % 6
     solved = want = 0
@@ -226,7 +226,7 @@ def test_criterion_07_order_arithmetic():
         if u % 6 not in (1, 3):
             continue
         want += 1
-        sol = solve_order(u, v1, v2, K=K, k=k)
+        sol = solve_order(u, v1, v2)
         ident_ok = (
             ident_ok
             and not sol.check()

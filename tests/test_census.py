@@ -17,8 +17,7 @@ from stslab import TripleSystem, automorphism_group, base_sts, canonical_form
 
 def switches(ts):
     """Every system one cycle switch away from `ts`."""
-    n, inc = ts.n, ts.incidence
-    third = inc.third
+    n, third = ts.n, ts.incidence.third
     for a in range(n):
         for b in range(a + 1, n):
             seen = {a, b, third[a][b]}
@@ -41,7 +40,7 @@ def switches(ts):
                         tuple(swap.get(p, p) for p in t)
                         if (a in t) != (b in t) and not cycle.isdisjoint(t)
                         else t
-                        for t in inc.triples
+                        for t in ts.iter_triples()
                     ],
                 )
 

@@ -1,11 +1,18 @@
 """Command-line interface: outputs, sidecars, manifests, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from stslab import TripleSystem, read_system, validate_sts
+from stslab import (
+    ParameterSolution,
+    TripleSystem,
+    VerificationError,
+    read_system,
+    validate_sts,
+)
 from stslab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -254,6 +261,45 @@ def test_rigid_search_cmd(tmp_path, capsys):
     assert "order 1" in capsys.readouterr().out
     assert _run("rigid-search", "--n", "9", "--output", str(out)) == EXIT_VALIDATION
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("construct boolean --dim 0 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("solve-params --check {tmp}/missing.txt", EXIT_VALIDATION),
+        ("verify {tmp}", EXIT_VALIDATION),
+        ("construct double --input {tmp}/f.sts --output {tmp}/no/dir/x.sts", EXIT_VALIDATION),
+        ("construct moore --x -3 --y 7 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("construct base --n -3 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("solve-params --check {tmp}/not_an_int.txt", EXIT_VALIDATION),
+        ("solve-params --check {tmp}/unknown_key.txt", EXIT_VALIDATION),
+        ("embed-pstss --mode cor46 --input {tmp}/f.sts --output {tmp}/x.pstss", EXIT_USAGE),
+    ],
+    ids=[
+        "boolean_dim_0", "missing_certificate", "verify_directory", "unwritable_output",
+        "moore_negative_x", "base_negative_n", "certificate_not_an_int",
+        "certificate_unknown_key", "cor46_without_other",
+    ],
+)
+def test_user_errors_print_one_error_line(tmp_path, capsys, argv, code):
+    _run("construct", "base", "--n", "7", "--output", str(tmp_path / "f.sts"))
+    (tmp_path / "not_an_int.txt").write_text("u = abc\n")
+    every_key = "".join(f"{f.name} = 0\n" for f in dataclasses.fields(ParameterSolution))
+    (tmp_path / "unknown_key.txt").write_text(every_key + "colour = 3\n")
+    capsys.readouterr()
+    assert _run(*(a.format(tmp=tmp_path) for a in argv.split())) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_fault_surfaces(tmp_path, monkeypatch):
+    def fault(n):
+        raise VerificationError("a computed result failed its check")
+
+    monkeypatch.setattr("stslab.cli.bose", fault)
+    with pytest.raises(VerificationError):
+        _run("construct", "bose", "--n", "9", "--output", str(tmp_path / "x.sts"))
 
 
 def test_usage_error_exit_code():

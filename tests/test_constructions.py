@@ -66,6 +66,17 @@ def test_bad_orders_rejected(n):
         skolem(n)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bose(-3), lambda: base_sts(-3), lambda: embed_subsystem(-3, 7)],
+    ids=["bose", "base_sts", "embed_subsystem"],
+)
+def test_negative_sizes_rejected(build):
+    # -3 % 6 == 3 in Python, so a residue test alone would admit -3
+    with pytest.raises(ConstructionError):
+        build()
+
+
 @pytest.mark.parametrize("d,order", [(2, 168), (3, 20160)])
 def test_pg_valid_with_known_aut(d, order):
     ts = pg_sts(d)

@@ -391,7 +391,6 @@ def test_pair_third_returns_a_copy():
 def test_incidence_agrees_with_rows(system):
     inc = system.incidence
     rows = [tuple(int(x) for x in row) for row in system.triples]
-    assert list(inc.triples) == rows
     third = inc.third
     assert len(third) == system.n and all(len(row) == system.n for row in third)
     covered = set()
@@ -714,7 +713,7 @@ def test_iso_certificate_verified_mapping():
     b = _relabel(bose(9), perm)
     cert = are_isomorphic(bose(9), b)
     assert cert.isomorphic
-    triples_b = set(b.incidence.triples)
+    triples_b = set(b.iter_triples())
     for t in bose(9).iter_triples():
         assert tuple(sorted(cert.mapping[p] for p in t)) in triples_b
 

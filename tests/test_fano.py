@@ -247,7 +247,7 @@ def test_classification_fields_type31():
             continue
         seen = True
         assert got.x_point is not None
-        assert tuple(sorted(got.v_triple)) in set(inp.v.incidence.triples)
+        assert tuple(sorted(got.v_triple)) in set(inp.v.iter_triples())
         assert sum(got.a_values) % inp.m == 0
     assert seen
 

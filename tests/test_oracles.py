@@ -189,5 +189,5 @@ def test_iso_verdict_matches_vf2(pair):
     cert = are_isomorphic(a, b)
     assert cert.isomorphic == _vf2_isomorphic(a, b)
     if cert.isomorphic:
-        target = set(b.incidence.triples)
+        target = set(b.iter_triples())
         assert all(tuple(sorted(cert.mapping[p] for p in t)) in target for t in a.iter_triples())

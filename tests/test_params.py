@@ -82,14 +82,14 @@ def test_threshold_formula():
 
 def test_solver_window_total():
     v1, v2 = 3, 9
-    k, K = choose_K(v1, v2)
+    _, K = choose_K(v1, v2)
     start = global_threshold(v1, v2, K)
     start += (1 - start) % 6  # first admissible order at or after start
     solved = 0
     for u in range(start, start + 48 * K, 2):
         if u % 6 not in (1, 3):
             continue
-        sol = solve_order(u, v1, v2, K=K, k=k)
+        sol = solve_order(u, v1, v2)
         assert sol.check() == []
         assert sol.u == sol.x + sol.v_choice * (sol.y - sol.x)
         solved += 1
@@ -109,10 +109,10 @@ def test_solver_rejects_inadmissible():
 
 def test_certificate_roundtrip():
     v1, v2 = 3, 9
-    k, K = choose_K(v1, v2)
+    _, K = choose_K(v1, v2)
     u = global_threshold(v1, v2, K)
     u += (1 - u) % 6
-    sol = solve_order(u, v1, v2, K=K, k=k)
+    sol = solve_order(u, v1, v2)
     again = ParameterSolution.from_text(sol.to_text())
     assert again == sol
     assert again.check() == []
@@ -120,10 +120,10 @@ def test_certificate_roundtrip():
 
 def test_certificate_check_catches_tampering():
     v1, v2 = 3, 9
-    k, K = choose_K(v1, v2)
+    _, K = choose_K(v1, v2)
     u = global_threshold(v1, v2, K)
     u += (1 - u) % 6
-    sol = solve_order(u, v1, v2, K=K, k=k)
+    sol = solve_order(u, v1, v2)
     import dataclasses
 
     bad = dataclasses.replace(sol, x=sol.x + 24)
@@ -135,6 +135,10 @@ def test_certificate_parse_errors():
         ParameterSolution.from_text("u = 3\n")
     with pytest.raises(ParameterError):
         ParameterSolution.from_text("garbage line\n")
+    with pytest.raises(ParameterError, match=r"line 2: u = 'abc' is not an integer"):
+        ParameterSolution.from_text("v1 = 3\nu = abc\n")
+    with pytest.raises(ParameterError, match=r"line 1: unknown key 'colour'"):
+        ParameterSolution.from_text("colour = 3\n")
 
 
 def test_corollary_bounds_and_symbolic_K():
