@@ -66,6 +66,12 @@ class CliError(Exception):
         self.code = code
 
 
+def _node_budget(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return int(text)
+
+
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -230,9 +236,11 @@ def cmd_embed_pstss(args) -> int:
         _write_outputs(res.combined, args, args.output, names)
         print(f"wrote {args.output}: {res.combined.n} points (pstss)")
     else:  # cor47; argparse restricts the modes
+        if args.v1 is None:
+            raise CliError("--mode cor47 needs --v1", EXIT_USAGE)
         v = _load_sts(args.input)
         try:
-            v1 = {int(s) for s in args.v1.split(",")} if args.v1 else set()
+            v1 = {int(s) for s in args.v1.split(",")}
         except ValueError:
             raise CliError("--v1 must be a comma-separated point list", EXIT_USAGE)
         res = corollary47_build(v, v1)
@@ -294,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="exact automorphism group")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_node_budget, default=None)
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("iso", help="decide isomorphism of two systems")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_node_budget, default=None)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("classify-fano", help="classify 7-point subsystems of a product")

@@ -7,12 +7,13 @@ relabeled sorted triple list, and the leaf with the smallest key gives the
 canonical form and the canonical labeling.  Everything here is exact:
 refinement only prunes, it never decides.
 
-Refinement starts from the cycle-structure seed of `_cycle_seed` (the
-cycle graphs of Colbourn & Rosa, "Triple Systems", 1999, ch. 7), not from
-one cell.  The seed depends on the system alone: relabeling a system by g
-relabels its seed by g.  Where pairs differ in cycle type the seed splits
-the points, and a random STS(27) needs one node instead of 17,578.  A
-system whose pairs all share one type, such as PG(n, 2), gets one cell.
+Refinement starts from the Pasch-count seed of `_pasch_seed` (Pasch
+configurations, Colbourn & Rosa, "Triple Systems", 1999, ch. 7), not from
+one cell.  The counts are read from the triples alone, so relabeling a
+system by g relabels its seed by g.  Where pairs differ in Pasch count the
+seed splits the points, and a random STS(27) needs one node instead of
+17,578.  A system whose pairs all share one count, such as PG(n, 2), gets
+one cell.
 
 A node refines its parent's coloring.  The point individualized last gets
 the color just after the earlier ones, which keeps the marked points first.
@@ -58,6 +59,7 @@ from .system import VerificationError, _triple_keys
 
 DEFAULT_NODE_BUDGET = 10**8
 BUDGET_ENV_VAR = "STSLAB_NODE_BUDGET"
+SEED_BLOCK = 2**16  # entries compared per seed block; larger blocks fall out of cache
 
 
 @dataclass
@@ -68,7 +70,7 @@ class SearchStats:
     leaves: int = 0
     pruned: int = 0  # children skipped as images of explored siblings
     max_depth: int = 0  # longest individualized sequence refined
-    seed_points: int = 0  # points whose pairs the seed has walked
+    seed_points: int = 0  # points whose pairs the seed has counted
     seed_s: float = 0.0
     rounds: int = 0  # refinement rounds, summed over all refine calls
 
@@ -78,7 +80,7 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, budget: int, stats: SearchStats, automorphisms: int):
         super().__init__(
-            f"search exceeded node budget {budget}: the seed walked the pairs "
+            f"search exceeded node budget {budget}: the seed counted the pairs "
             f"of {stats.seed_points} points, then {stats.refine_calls} nodes "
             f"visited, depth {stats.max_depth}, {automorphisms} automorphisms "
             f"found (set {BUDGET_ENV_VAR} to override)"
@@ -93,46 +95,36 @@ def node_budget(override: int | None = None) -> int:
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
 
 
-def _cycle_seed(system, charge) -> list:
-    """Isomorphism-invariant point colors from the cycle structure of pairs.
+def _pasch_seed(system, charge) -> list:
+    """Isomorphism-invariant point colors from the Pasch counts of pairs.
 
-    For a pair {a, b} on the triple {a, b, c}, x -> third(b, third(a, x))
-    permutes V - {a, b, c}; its sorted cycle lengths are the pair's cycle
-    type.  A point's color is the rank of the sorted multiset of the cycle
-    types of its pairs.  `charge` runs before each point's pairs are walked.
-    A system gets all zeros unless it covers every pair, which its m
-    pair-disjoint triples do iff 3m = n(n-1)/2.
+    With third(a, a) = a, f = x -> third(b, third(a, x)) permutes the points.
+    The triple {a, b, c} is a 3-cycle of f, b = a gives the identity, and each
+    Pasch configuration with a, b on no common triple gives two 2-cycles.  The
+    pair {a, b} counts the x with f(x) = f^-1(x) = third(a, third(b, x)); a
+    point's color is the rank of its sorted row of counts.  `charge` runs once
+    per point before its block is counted.  A system gets all zeros unless it
+    covers every pair, which its m pair-disjoint triples do iff 3m = n(n-1)/2.
     """
     n = system.n
-    if 3 * system.n_triples != n * (n - 1) // 2:
-        return [0] * n
-    third = system.incidence.third
-    types: dict = {}  # cycle type -> both points of each pair of that type
-    for a in range(n):
-        charge()
-        ta = third[a]
-        for b in range(a + 1, n):
-            tb = third[b]
-            seen = [False] * n
-            seen[a] = seen[b] = seen[ta[b]] = True
-            lengths = []
-            for x in range(n):
-                k = 0
-                while not seen[x]:
-                    seen[x] = True
-                    x = tb[ta[x]]
-                    k += 1
-                if k:
-                    lengths.append(k)
-            lengths.sort()
-            types.setdefault(tuple(lengths), []).extend((a, b))
-    per_point = [[] for _ in range(n)]
-    for rank, t in enumerate(sorted(types)):
-        for p in types[t]:
-            per_point[p].append(rank)
-    sigs = [tuple(sorted(ranks)) for ranks in per_point]
-    index = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [index[s] for s in sigs]
+    if n < 2 or 3 * system.n_triples != n * (n - 1) // 2:
+        return [0] * n  # under two points the one cell needs no table
+    points = np.arange(n)
+    t = np.array(system.incidence.third, dtype=np.int32)
+    t[points, points] = points
+    counts = np.empty((n, n), dtype=np.intp)
+    step = max(1, SEED_BLOCK // (n * n))
+    for start in range(0, n, step):
+        block = points[start : start + step]
+        for _ in block:
+            charge()
+        # [b, i, x]: third(b, third(a, x)) == third(a, third(b, x)), a = block[i]
+        same = t[:, t[block]] == t[block][:, t].swapaxes(0, 1)
+        counts[:, block] = same.sum(axis=2)
+    counts.sort(axis=1)
+    rows = list(map(tuple, counts.tolist()))
+    index = {row: i for i, row in enumerate(sorted(set(rows)))}
+    return [index[row] for row in rows]
 
 
 class _SearchData:
@@ -151,7 +143,7 @@ class _SearchData:
         self.best_seq = None
         self.auts = []
         start = time.perf_counter()
-        self.seed = _cycle_seed(system, self._charge_seed)
+        self.seed = _pasch_seed(system, self._charge_seed)
         self.stats.seed_s = time.perf_counter() - start
 
     def charge(self) -> None:

@@ -1,18 +1,18 @@
-"""Census oracle: the two STS(13) classes, reached by cycle switching and
-checked by the mass formula.
+"""Census oracle: the two STS(13) and the 80 STS(15) classes, reached by
+cycle switching and checked by the mass formula.
 
 A switch takes a pair {a, b} on the triple {a, b, c} and one cycle of the
 graph on V - {a, b, c} with edges x ~ third(a, x) and x ~ third(b, x)
 (the union of two cycles of x -> third(b, third(a, x))).  Swapping a and b
 in the triples along that cycle gives another STS; swapping along the whole
 graph only relabels, so that case is skipped.  Classes are told apart by
-`canonical_form`, and the labeled STS(13) number 13!/6 + 13!/39: a wrong
-canonical form or a wrong |Aut| breaks the sum.
+`canonical_form`, and the labeled STS(n) number the sum of n!/|Aut| over
+the classes: a wrong canonical form or a wrong |Aut| breaks the sum.
 """
 
 import math
 
-from stslab import TripleSystem, automorphism_group, base_sts, canonical_form
+from stslab import TripleSystem, automorphism_group, base_sts, canonical_form, pg_sts
 
 
 def switches(ts):
@@ -63,3 +63,15 @@ def test_sts13_census_by_cycle_switching():
     assert orders == [6, 39]
     assert all(math.factorial(13) % k == 0 for k in orders)
     assert sum(math.factorial(13) // k for k in orders) == 1_197_504_000
+
+
+def test_sts15_census_by_cycle_switching():
+    """All 80 classes (Mathon, Phelps & Rosa 1983) from PG(3, 2).  Switching
+    only 4-cycles (Pasch switches) reaches 79 of them and misses the
+    anti-Pasch class, |Aut| = 60 (Kaski & Östergård, "Classification
+    Algorithms for Codes and Designs", 2006)."""
+    orders = [automorphism_group(ts).order for ts in census(pg_sts(3))]
+    assert len(orders) == 80
+    assert all(math.factorial(15) % k == 0 for k in orders)
+    assert sum(math.factorial(15) // k for k in orders) == 60_281_712_691_200
+    assert orders.count(20_160) == 1

@@ -138,6 +138,12 @@ def test_aut_and_budget(tmp_path, capsys):
     assert _run("aut", str(out)) == EXIT_OK
     assert "order 168" in capsys.readouterr().out
     assert _run("aut", str(out), "--budget", "1") == EXIT_BUDGET
+    for budget in ("0", "-1"):  # no search runs: a usage error, not a budget one
+        for argv in (("aut", str(out)), ("iso", str(out), str(out))):
+            with pytest.raises(SystemExit) as exc:
+                _run(*argv, "--budget", budget)
+            assert exc.value.code == EXIT_USAGE
+            assert "is not a whole number of at least 1" in capsys.readouterr().err
 
 
 def test_budget_env_var(tmp_path, monkeypatch, capsys):
@@ -275,11 +281,12 @@ def test_rigid_search_cmd(tmp_path, capsys):
         ("solve-params --check {tmp}/not_an_int.txt", EXIT_VALIDATION),
         ("solve-params --check {tmp}/unknown_key.txt", EXIT_VALIDATION),
         ("embed-pstss --mode cor46 --input {tmp}/f.sts --output {tmp}/x.pstss", EXIT_USAGE),
+        ("embed-pstss --mode cor47 --input {tmp}/f.sts --output {tmp}/x.pstss", EXIT_USAGE),
     ],
     ids=[
         "boolean_dim_0", "missing_certificate", "verify_directory", "unwritable_output",
         "moore_negative_x", "base_negative_n", "certificate_not_an_int",
-        "certificate_unknown_key", "cor46_without_other",
+        "certificate_unknown_key", "cor46_without_other", "cor47_without_v1",
     ],
 )
 def test_user_errors_print_one_error_line(tmp_path, capsys, argv, code):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from aut_reference import _Data
 
 from stslab import (
     MooreInput,
@@ -189,6 +190,24 @@ def test_oracle_systems_need_no_more_nodes(name):
     stats = _canonical_labeling(make()).stats
     assert stats.refine_calls <= calls
     assert stats.rounds >= stats.refine_calls  # each node refines at least once
+
+
+REFERENCE_SEEDED = {
+    **SEEDED,
+    **CHAINED,
+    **{name: make for name, (make, _) in FROM_SEED_REFINE_CALLS.items()},
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SEEDED)
+def test_seed_refines_the_reference_pasch_counts(name):
+    """Points with different Pasch counts in the reference search get
+    different seed colors: the points on 2-cycles, summed over a point's
+    pairs, are 4 times its Pasch count plus n."""
+    ts = REFERENCE_SEEDED[name]()
+    seed = _seed(ts)
+    reference = _Data(ts).seed
+    assert len(set(zip(seed, reference))) == len(set(seed))
 
 
 def _relabeled_triples(ts, lab) -> tuple:
