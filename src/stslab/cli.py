@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 search
 budget exceeded.  `main` alone maps errors to codes: a library error
 about the input, or a file that cannot be read or written, prints one
-`error:` line and exits 1; any other error is a fault and surfaces
-as a traceback.  Every file-producing command also writes a sidecar
-point-name map (`<output>.map`) and a JSON run manifest
-(`<output>.manifest.json`) so runs are reproducible byte for byte.
+`error:` line and exits 1, and a bad `STSLAB_NODE_BUDGET` exits 2; any
+other error is a fault and surfaces as a traceback.  Every
+file-producing command also writes a sidecar point-name map
+(`<output>.map`) and a JSON run manifest (`<output>.manifest.json`) so
+runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from .pstss import (
 )
 from .search import (
     BudgetExceededError,
+    BudgetSettingError,
     are_isomorphic,
     automorphism_group,
+    parse_node_budget,
 )
 from .perm import cycle_string
 from .system import (
@@ -67,9 +70,10 @@ class CliError(Exception):
 
 
 def _node_budget(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
-    return int(text)
+    try:
+        return parse_node_budget(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _digest(path: str) -> str:
@@ -351,6 +355,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except BudgetSettingError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -1,7 +1,9 @@
 """Permutations and permutation groups with exact order and membership.
 
 Permutations are image tuples over 0..n-1.  Groups carry a deterministic
-stabilizer chain (Schreier-Sims) so order and membership are exact.
+stabilizer chain so order and membership are exact: read off a known base
+and strong generating set, or built from arbitrary generators by
+Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -60,18 +62,36 @@ class _ChainLevel:
         self.transversal[point] = rep
         self.inverses[point] = inverse(rep)
 
+    def grow(self, gens: list) -> None:
+        """Close the orbit of the base point under gens, by breadth first."""
+        frontier = list(self.transversal)
+        while frontier:
+            new = []
+            for pt in frontier:
+                for g in gens:
+                    if g[pt] not in self.transversal:
+                        self.add(g[pt], compose(self.transversal[pt], g))
+                        new.append(g[pt])
+            frontier = new
+
 
 @dataclass
 class PermutationGroup:
     """Group generated by `generators`, with a stabilizer chain for order.
 
-    The chain is built by incremental Schreier-Sims (Sims 1970; Seress,
-    *Permutation Group Algorithms*, 2003, sec. 4.2).  `_strong` holds
-    (level, perm) pairs.  A strong generator of level i is a residue that
-    fell out of the sift at level i: it fixes the base points of levels
-    0..i-1 and moves that of level i.  So the strong generators of level
-    >= i are those fixing the first i base points, and level i records the
-    orbit of its base point under them.
+    `from_generators` builds the chain by incremental Schreier-Sims (Sims
+    1970; Seress, *Permutation Group Algorithms*, 2003, sec. 4.2), for any
+    generators.  `from_base` reads it off a base and strong generating set
+    known in advance (Seress, ch. 4): its precondition is that for every k
+    the generators fixing base[:k] generate the stabilizer of base[:k], and
+    that only the identity fixes the whole base.  Then each level is one
+    orbit computation and no Schreier generator is sifted.
+
+    `_strong` holds (level, perm) pairs.  A strong generator of level i
+    fixes the base points of levels 0..i-1 and moves that of level i; under
+    Schreier-Sims it is a residue that fell out of the sift at level i.  So
+    the strong generators of level >= i are those fixing the first i base
+    points, and level i records the orbit of its base point under them.
     """
 
     degree: int
@@ -84,6 +104,24 @@ class PermutationGroup:
         g = cls(degree)
         for p in generators:
             g.extend(tuple(p))
+        return g
+
+    @classmethod
+    def from_base(cls, degree: int, base, generators) -> "PermutationGroup":
+        """The group of a base and strong generating set (see the class
+        docstring for the precondition, which is not checked).  A base point
+        fixed by every generator fixing the earlier ones gets no level."""
+        g = cls(degree, [tuple(p) for p in generators])
+        fixing = g.generators  # those fixing the base points so far
+        for b in base:
+            moving = [p for p in fixing if p[b] != b]
+            if not moving:
+                continue
+            lvl = _ChainLevel(b, degree)
+            lvl.grow(fixing)
+            g._strong += [(len(g._levels), p) for p in moving]
+            g._levels.append(lvl)
+            fixing = [p for p in fixing if p[b] == b]
         return g
 
     @classmethod
@@ -147,15 +185,7 @@ class PermutationGroup:
         """
         lvl = self._levels[idx]
         gens = [(k, g) for k, (level, g) in enumerate(self._strong) if level >= idx]
-        frontier = list(lvl.transversal)
-        while frontier:
-            new = []
-            for pt in frontier:
-                for _, g in gens:
-                    if g[pt] not in lvl.transversal:
-                        lvl.add(g[pt], compose(lvl.transversal[pt], g))
-                        new.append(g[pt])
-            frontier = new
+        lvl.grow([g for _, g in gens])
         ident = identity(self.degree)
         for pt, rep in lvl.transversal.items():
             for k, g in gens:

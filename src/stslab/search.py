@@ -42,6 +42,14 @@ So the automorphisms found that fix s_k reach the whole G_k-orbit of b_k.
 By induction from the discrete leaf (G trivial) upwards, with
 |G_k| = |orbit of b_k| * |G_{k+1}|, they generate G_k at every level, and
 G_0 = Aut.
+
+So the best path is a base of Aut and the automorphisms found are a strong
+generating set relative to it, and `automorphism_group` reads the
+stabilizer chain off them with one orbit per level, sifting nothing.  It is
+a base because a node's coloring commutes with relabeling: an automorphism
+fixing the whole path maps the best leaf's coloring to itself, and that
+coloring is discrete, so the automorphism fixes every point.  The induction
+above gives the strong generation.
 """
 
 from __future__ import annotations
@@ -89,10 +97,28 @@ class BudgetExceededError(RuntimeError):
         self.automorphisms = automorphisms
 
 
+class BudgetSettingError(ValueError):
+    """The node budget variable is set to something other than a budget."""
+
+
+def parse_node_budget(text: str) -> int:
+    """A node budget written as a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{text!r} is not a whole number of at least 1")
+    return int(text)
+
+
 def node_budget(override: int | None = None) -> int:
+    """`override`, else the budget variable's value, else the default."""
     if override is not None:
         return override
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+    text = os.environ.get(BUDGET_ENV_VAR)
+    if text is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return parse_node_budget(text)
+    except ValueError as e:
+        raise BudgetSettingError(f"{BUDGET_ENV_VAR}: {e}") from None
 
 
 def _pasch_seed(system, charge) -> list:
@@ -263,12 +289,23 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
         return len(seq)
     depth = len(seq)
     explored: list = []
+    # the automorphisms found that fix seq, and the union of the explored
+    # children's orbits under them; rebuilt only when a new one fixes seq
+    fixing: list = []
+    covered: set = set()
+    seen = 0
     for cand in cell:
-        fixing = [g for g in data.auts if all(g[s] == s for s in seq)]
-        if any(cand in pm.orbit_of(e, fixing) for e in explored):
+        if len(data.auts) != seen:
+            new = [g for g in data.auts[seen:] if all(g[s] == s for s in seq)]
+            seen = len(data.auts)
+            if new:
+                fixing += new
+                covered = set().union(*(pm.orbit_of(e, fixing) for e in explored))
+        if cand in covered:
             data.stats.pruned += 1
             continue
         explored.append(cand)
+        covered |= pm.orbit_of(cand, fixing)
         unwind = _canon_dfs(data, seq + (cand,), colors)
         if unwind < depth:
             return unwind
@@ -279,6 +316,7 @@ class _Canon(NamedTuple):
     form: tuple  # (n, sorted triples under the canonical labeling)
     labeling: tuple  # point -> canonical index
     automorphisms: list  # generate Aut (see the module docstring)
+    base: tuple  # the best leaf's sequence: a base for the automorphisms
     stats: SearchStats
 
 
@@ -289,13 +327,13 @@ def _canonical_labeling(system, budget: int | None = None) -> _Canon:
     n = system.n
     keys = np.frombuffer(data.best_key, dtype=">i8").tolist()
     form = (n, tuple((k // (n * n), k // n % n, k % n) for k in keys))
-    return _Canon(form, data.best_colors, data.auts, data.stats)
+    return _Canon(form, data.best_colors, data.auts, data.best_seq, data.stats)
 
 
 def automorphism_group(system, budget: int | None = None) -> PermutationGroup:
     """Exact automorphism group of a (partial) triple system."""
-    auts = _canonical_labeling(system, budget).automorphisms
-    return PermutationGroup.from_generators(system.n, auts)
+    c = _canonical_labeling(system, budget)
+    return PermutationGroup.from_base(system.n, c.base, c.automorphisms)
 
 
 def canonical_form(system, budget: int | None = None) -> tuple:

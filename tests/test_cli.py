@@ -154,6 +154,22 @@ def test_budget_env_var(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_budget_env_var_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
+    # the variable follows the --budget rule; no search runs
+    out = tmp_path / "f.sts"
+    _run("construct", "base", "--n", "7", "--output", str(out))
+    capsys.readouterr()
+    monkeypatch.setenv("STSLAB_NODE_BUDGET", value)
+    for argv in (("aut", str(out)), ("iso", str(out), str(out))):
+        assert _run(*argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: STSLAB_NODE_BUDGET: {value!r} is not a whole number of at least 1\n"
+        )
+
+
 def test_iso(tmp_path, capsys):
     a, b, c = (tmp_path / x for x in ("a.sts", "b.sts", "c.sts"))
     _run("construct", "base", "--n", "7", "--output", str(a))

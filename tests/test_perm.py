@@ -113,6 +113,39 @@ def test_chain_keeps_only_sifted_residues():
         assert all(g[b] == b for b in bases[:-1]) and g[bases[-1]] != bases[-1]
 
 
+def test_schreier_sims_keeps_only_sifted_residues():
+    # the same invariant on a chain built by sifting, which automorphism_group
+    # no longer does: it reads its chain off the search path
+    gens = automorphism_group(pg_sts(4)).generators
+    group = PermutationGroup.from_generators(31, gens)
+    assert group.order == 9_999_360  # |GL(5, 2)|
+    assert len(group._strong) <= 30
+    for level, g in group._strong:
+        bases = [lvl.base_point for lvl in group._levels[: level + 1]]
+        assert all(g[b] == b for b in bases[:-1]) and g[bases[-1]] != bases[-1]
+
+
+def test_from_base_matches_bruteforce_closure():
+    # S4 with base (0, 1, 2, 3): the generators fixing 0 are (1 2 3) and
+    # (2 3), those fixing 0 and 1 are (2 3); point 3 gets no level
+    gens = [(1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2)]
+    g = PermutationGroup.from_base(4, (0, 1, 2, 3), gens)
+    assert g.order == 24 and len(g._levels) == 3
+    assert g.generators == gens
+    assert [level for level, _ in g._strong] == [0, 1, 2]
+    for p in itertools.permutations(range(4)):
+        assert p in g
+    assert len(set(g.elements())) == 24
+    # C5 with base (0, 1): no generator fixes 0, so 1 gets no level
+    c5 = PermutationGroup.from_base(5, (0, 1), [(1, 2, 3, 4, 0)])
+    assert c5.order == 5 and len(c5._levels) == 1
+    group = _closure(5, c5.generators)
+    for p in itertools.permutations(range(5)):
+        assert (p in c5) == (p in group)
+    assert c5.extend((1, 0, 2, 3, 4))  # extend re-closes a chain read off a base
+    assert c5.order == 120
+
+
 def test_orbit_functions():
     gens = [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]
     assert orbit_of(0, gens) == frozenset({0, 1, 2})

@@ -18,7 +18,14 @@ from stslab import (
 )
 from stslab import search
 from stslab.constructions import random_sts
-from stslab.search import BudgetExceededError, _canonical_labeling, _leaf_key, _SearchData
+from stslab.perm import PermutationGroup, compose
+from stslab.search import (
+    BudgetExceededError,
+    _canonical_labeling,
+    _leaf_key,
+    _SearchData,
+    is_automorphism,
+)
 from stslab.system import InvalidSystemError
 
 
@@ -234,3 +241,51 @@ def test_leaf_keys_compare_like_sorted_triples():
     canon = _canonical_labeling(ts)
     assert canon.form == (ts.n, _relabeled_triples(ts, canon.labeling))
     assert all(type(x) is int for t in canon.form[1] for x in t)
+
+
+CHAIN_SYSTEMS = {
+    **{name: make for name, (make, _) in FROM_SEED_REFINE_CALLS.items()},
+    "random15": SEEDED["random15"],
+    "bose45": lambda: bose(45),
+    "pg5": lambda: pg_sts(5),
+    "empty30": lambda: PartialTripleSystem(30, []),
+}
+# adding a transposition to these 2-transitive groups gives S_31 and S_63,
+# 3 s and 40 s of Schreier-Sims whichever chain it starts from
+EXTEND_TOO_SLOW = {"pg4", "pg5"}
+
+
+@pytest.mark.parametrize("name", CHAIN_SYSTEMS)
+def test_chain_from_search_path_matches_schreier_sims(name):
+    """The chain read off the search path answers as Schreier-Sims does on
+    the same generators."""
+    ts = CHAIN_SYSTEMS[name]()
+    group = automorphism_group(ts)
+    ref = PermutationGroup.from_generators(ts.n, group.generators)
+    assert group.order == ref.order
+    assert group.generators == ref.generators
+    rng = random.Random(name)
+    words = group.generators or [tuple(range(ts.n))]
+    candidates = []
+    for _ in range(8):
+        p = tuple(range(ts.n))
+        for g in rng.choices(words, k=rng.randint(1, 6)):
+            p = compose(p, g)
+        candidates.append(p)
+        swap = list(p)  # a near miss: one transposition away from a member
+        i, j = rng.sample(range(ts.n), 2)
+        swap[i], swap[j] = swap[j], swap[i]
+        candidates.append(tuple(swap))
+        shuffled = list(range(ts.n))
+        rng.shuffle(shuffled)
+        candidates.append(tuple(shuffled))
+    for p in candidates:
+        assert (p in group) == (p in ref) == is_automorphism(ts, p)
+    if group.order <= 10**5:
+        assert len(set(group.elements())) == group.order
+        assert len(set(ref.elements())) == ref.order
+    if name not in EXTEND_TOO_SLOW:
+        transposition = (1, 0) + tuple(range(2, ts.n))
+        group.extend(transposition)
+        ref.extend(transposition)
+        assert group.order == ref.order
