@@ -3,9 +3,10 @@
 One individualization-refinement search answers every question.  A
 depth-first search individualizes points of the smallest non-singleton cell
 until the coloring is discrete.  Each leaf is a labeling; its key is the
-relabeled sorted triple list, and the leaf with the smallest key gives the
-canonical form and the canonical labeling.  Everything here is exact:
-refinement only prunes, it never decides.
+relabeled sorted triple list.  Leaves are ranked by the traces of the nodes
+on their path and then by key, and the smallest leaf gives the canonical
+form and the canonical labeling.  Everything here is exact: refinement and
+traces only prune, they never decide.
 
 Refinement starts from the Pasch-count seed of `_pasch_seed` (Pasch
 configurations, Colbourn & Rosa, "Triple Systems", 1999, ch. 7), not from
@@ -25,31 +26,57 @@ refines the seed with the whole sequence individualized therefore refines
 the parent's coloring too, so starting from the parent reaches the same
 partition as starting from the seed; only the order of the cells may
 differ.  So a node's coloring is a function of the system and its sequence
-that commutes with relabeling, which is all the argument below needs.
+that commutes with relabeling.
 
-Two leaves with equal keys differ by an automorphism, and the search keeps
-every such automorphism.  These generate the whole group (McKay & Piperno,
-"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+A node's trace lists each round's sorted distinct signatures.  These hold
+colors and color pairs, never points, so the trace commutes with relabeling
+too: relabeling the system and the sequence by g leaves the trace as it
+was, and an automorphism maps each node to a node with the same trace.  A
+leaf's rank is the traces of the nodes on its path, root first, then its
+key, compared in that order (the Traces order of McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).  The rank
+is invariant, so the smallest rank and the key in it are the same for
+isomorphic systems, and that key is the canonical form.  Nodes whose
+parents have equal traces start with equally many cells, so equal rounds
+end together.  While a node's path has the best path's trace, it compares
+each round with the best path's node at its depth.  At the first greater
+round, or a round past the end of the best's, every leaf below ranks above
+the best and the node is stopped; at the first smaller round every leaf
+below ranks below the best, so it stops comparing and the first leaf it
+reaches becomes the best.  Only a strictly smaller rank replaces the best.
+
+Two leaves with equal keys differ by an automorphism, which maps one path
+onto the other.  The search keeps the automorphisms found against the
+current best leaf and drops them all when the best is replaced.  Those
+kept, all found against the final best leaf, generate the whole group.
 Follow the path to the final best leaf, with prefixes s_0, s_1, ..., and
 let G_k be the automorphisms fixing s_k pointwise.  At level k, no child
-before the path's child b_k lies in the G_k-orbit of b_k: its subtree would
-hold a leaf with the best key, visited before the best leaf, which then
-could not have replaced it (only a strictly smaller key does).  Every
-child after b_k in that orbit either is searched, and meets an equal-key
-leaf whose automorphism fixes s_k and maps it to b_k, or is pruned as the
-image of a searched child under automorphisms already found that fix s_k.
-So the automorphisms found that fix s_k reach the whole G_k-orbit of b_k.
-By induction from the discrete leaf (G trivial) upwards, with
-|G_k| = |orbit of b_k| * |G_{k+1}|, they generate G_k at every level, and
-G_0 = Aut.
+before the path's child b_k lies in the G_k-orbit of b_k: its subtree
+would hold a leaf of the best rank, reached before the best leaf, which
+then could not have replaced it.  So children skipped before b_k, on
+automorphisms since dropped, need no cover.  A child c after b_k in that
+orbit is reached after the final best is set.  It is either pruned as the
+image of a searched child under kept automorphisms fixing s_k, or searched.
+If searched, some g in G_k maps b_k to c, so c and the nodes below it on
+the image of the best path have the best path's traces and are never
+stopped; the search meets a leaf of the best rank below c, and its
+automorphism fixes s_k and maps c to b_k.  So the kept automorphisms that
+fix s_k reach the whole G_k-orbit of b_k.  By induction from the discrete
+leaf (G trivial) upwards, with |G_k| = |orbit of b_k| * |G_{k+1}|, they
+generate G_k at every level, and G_0 = Aut.
 
-So the best path is a base of Aut and the automorphisms found are a strong
+So the best path is a base of Aut and the kept automorphisms are a strong
 generating set relative to it, and `automorphism_group` reads the
 stabilizer chain off them with one orbit per level, sifting nothing.  It is
 a base because a node's coloring commutes with relabeling: an automorphism
 fixing the whole path maps the best leaf's coloring to itself, and that
-coloring is discrete, so the automorphism fixes every point.  The induction
-above gives the strong generation.
+coloring is discrete, so the automorphism fixes every point.  None of them
+is redundant.  After the final best is set, the common prefix of a leaf
+with the best path only shrinks, so one found at level k comes after kept
+ones that all fix s_k.  It maps to b_k a child that was not pruned, so not
+in the orbit of b_k under those, and it lies outside the group they
+generate.  An automorphism found against a best that was replaced later
+gives no such guarantee, which is why those are dropped.
 """
 
 from __future__ import annotations
@@ -81,6 +108,7 @@ class SearchStats:
     seed_points: int = 0  # points whose pairs the seed has counted
     seed_s: float = 0.0
     rounds: int = 0  # refinement rounds, summed over all refine calls
+    trace_stopped: int = 0  # refine calls stopped by a round past the best path's
 
 
 class BudgetExceededError(RuntimeError):
@@ -90,8 +118,9 @@ class BudgetExceededError(RuntimeError):
         super().__init__(
             f"search exceeded node budget {budget}: the seed counted the pairs "
             f"of {stats.seed_points} points, then {stats.refine_calls} nodes "
-            f"visited, depth {stats.max_depth}, {automorphisms} automorphisms "
-            f"found (set {BUDGET_ENV_VAR} to override)"
+            f"visited ({stats.trace_stopped} stopped by the trace), depth "
+            f"{stats.max_depth}, {automorphisms} automorphisms found (set "
+            f"{BUDGET_ENV_VAR} to override)"
         )
         self.stats = stats
         self.automorphisms = automorphisms
@@ -155,7 +184,8 @@ def _pasch_seed(system, charge) -> list:
 
 class _SearchData:
     """One search: the system's incidence, its seed colors, the best leaf so
-    far, the automorphisms found and the work charged against the budget."""
+    far and its path's traces, the automorphisms found against it and the
+    work charged against the budget."""
 
     def __init__(self, system, budget: int | None = None):
         self.n = system.n
@@ -167,6 +197,8 @@ class _SearchData:
         self.best_key = None
         self.best_colors = None
         self.best_seq = None
+        self.best_trace = []  # the trace of each node on the best path
+        self.path_trace = []  # the trace of each node on the current path
         self.auts = []
         start = time.perf_counter()
         self.seed = _pasch_seed(system, self._charge_seed)
@@ -181,10 +213,18 @@ class _SearchData:
         self.charge()
         self.stats.seed_points += 1
 
-    def refine(self, colors: tuple, seq: tuple) -> tuple:
+    def refine(self, colors: tuple, seq: tuple, best: list | None = None) -> tuple:
         """Equitable coloring refining `colors`, the coloring of the node
         for seq[:-1] (the seed at the root), with seq[-1], a point of a
-        non-singleton cell, individualized."""
+        non-singleton cell, individualized.
+
+        Returns (colors, trace, order).  The trace lists each round's sorted
+        distinct signatures.  `best` is the best path's trace at this depth,
+        or None when the path is already smaller.  Order is 0 while the
+        rounds equal best's and -1 from the first smaller round on (or with
+        no `best`); the comparison stops there.  At the first greater round,
+        or a round past the end of best's, the node is stopped: order 1 and
+        colors None."""
         self.charge()
         self.stats.refine_calls += 1
         self.stats.max_depth = max(self.stats.max_depth, len(seq))
@@ -195,6 +235,8 @@ class _SearchData:
             colors = [c + 1 if c >= k else c for c in colors]
             colors[seq[-1]] = k
         n_classes = len(set(colors))
+        trace = []
+        order = -1 if best is None else 0
         while True:
             self.stats.rounds += 1
             sizes = [0] * n_classes
@@ -212,12 +254,22 @@ class _SearchData:
                 row.sort()
                 sigs.append((c, tuple(row)))
             distinct = sorted(set(sigs))
+            if order == 0:
+                other = best[len(trace)] if len(trace) < len(best) else None
+                if distinct == other:
+                    distinct = other  # share the best path's round, not a copy
+                elif other is None or distinct > other:
+                    self.stats.trace_stopped += 1
+                    return None, trace, 1
+                else:
+                    order = -1
+            trace.append(distinct)
             index = {s: i for i, s in enumerate(distinct)}
             colors = [index[s] for s in sigs]
             if len(distinct) == n_classes:
                 break
             n_classes = len(distinct)
-        return tuple(colors)
+        return tuple(colors), trace, order
 
 
 def _target_cell(colors: tuple) -> list:
@@ -257,19 +309,29 @@ def _leaf_key(data: _SearchData, colors: tuple) -> bytes:
     return keys.astype(">i8").tobytes()
 
 
-def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
+def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple, compare: bool) -> int:
     """Explore the individualization tree below the node for `seq`, whose
-    parent's coloring is `parent`; returns unwind depth."""
-    colors = data.refine(parent, seq)
+    parent's coloring is `parent`; returns unwind depth.  `compare` says the
+    path so far has the best path's traces, so the node is compared with the
+    best path's node at its depth; otherwise the path is already smaller."""
+    depth = len(seq)
+    best = data.best_trace[depth] if compare else None
+    colors, trace, order = data.refine(parent, seq, best)
+    if order > 0:
+        return depth
+    del data.path_trace[depth:]
+    data.path_trace.append(trace)
     cell = _target_cell(colors)
     if not cell:
         data.stats.leaves += 1
         key = _leaf_key(data, colors)
-        if data.best_key is None or key < data.best_key:
+        if order < 0 or key < data.best_key:
             data.best_key = key
             data.best_colors = colors
             data.best_seq = seq
-            return len(seq)
+            data.best_trace = list(data.path_trace)
+            data.auts = []  # those found against the old best are dropped
+            return depth
         if key == data.best_key:
             # same canonical image: best_labeling^-1 . leaf_labeling is an
             # automorphism fixing the common prefix of the two sequences
@@ -286,18 +348,21 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
             ):
                 common += 1
             return common
-        return len(seq)
-    depth = len(seq)
+        return depth
     explored: list = []
-    # the automorphisms found that fix seq, and the union of the explored
-    # children's orbits under them; rebuilt only when a new one fixes seq
+    # the kept automorphisms that fix seq, and the union of the explored
+    # children's orbits under them; rebuilt when a new one fixes seq, and
+    # emptied when a new best drops them
     fixing: list = []
     covered: set = set()
-    seen = 0
+    auts, seen = data.auts, 0
+    compare = order == 0  # after the first child the node is on the best path
     for cand in cell:
-        if len(data.auts) != seen:
-            new = [g for g in data.auts[seen:] if all(g[s] == s for s in seq)]
-            seen = len(data.auts)
+        if data.auts is not auts:
+            fixing, covered, auts, seen = [], set(explored), data.auts, 0
+        if len(auts) != seen:
+            new = [g for g in auts[seen:] if all(g[s] == s for s in seq)]
+            seen = len(auts)
             if new:
                 fixing += new
                 covered = set().union(*(pm.orbit_of(e, fixing) for e in explored))
@@ -306,9 +371,10 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple) -> int:
             continue
         explored.append(cand)
         covered |= pm.orbit_of(cand, fixing)
-        unwind = _canon_dfs(data, seq + (cand,), colors)
+        unwind = _canon_dfs(data, seq + (cand,), colors, compare)
         if unwind < depth:
             return unwind
+        compare = True
     return depth
 
 
@@ -323,7 +389,7 @@ class _Canon(NamedTuple):
 def _canonical_labeling(system, budget: int | None = None) -> _Canon:
     """The one search: canonical form, canonical labeling and automorphisms."""
     data = _SearchData(system, budget)
-    _canon_dfs(data, (), data.seed)
+    _canon_dfs(data, (), data.seed, False)
     n = system.n
     keys = np.frombuffer(data.best_key, dtype=">i8").tolist()
     form = (n, tuple((k // (n * n), k // n % n, k % n) for k in keys))

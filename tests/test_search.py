@@ -8,9 +8,12 @@ from aut_reference import _Data
 from stslab import (
     MooreInput,
     PartialTripleSystem,
+    TripleSystem,
+    are_isomorphic,
     automorphism_group,
     base_sts,
     bose,
+    canonical_form,
     double,
     embed_subsystem,
     moore,
@@ -109,6 +112,7 @@ def test_budget_error_reports_progress():
     assert 0 <= err.value.automorphisms < len(canon.automorphisms)
     message = str(err.value)
     assert f"{stats.refine_calls} nodes visited" in message
+    assert f"{stats.trace_stopped} stopped by the trace" in message
     assert f"depth {stats.max_depth}" in message
     assert f"{err.value.automorphisms} automorphisms found" in message
 
@@ -166,7 +170,7 @@ def test_child_refinement_matches_refinement_from_seed(name):
     rng = random.Random(name)
     for _ in range(6):
         data = _SearchData(ts)
-        colors = data.refine(data.seed, ())
+        colors, _, _ = data.refine(data.seed, ())
         seq = ()
         assert _cells(colors) == _cells(_from_seed(data, seq))
         for depth in range(1, 4):
@@ -174,7 +178,7 @@ def test_child_refinement_matches_refinement_from_seed(name):
             if not cells:
                 break
             seq += (rng.choice(sorted(rng.choice(sorted(cells, key=min)))),)
-            colors = data.refine(colors, seq)
+            colors, _, _ = data.refine(colors, seq)
             assert _cells(colors) == _cells(_from_seed(data, seq))
             assert [colors[p] for p in seq] == list(range(depth))  # marked points first
 
@@ -289,3 +293,93 @@ def test_chain_from_search_path_matches_schreier_sims(name):
         group.extend(transposition)
         ref.extend(transposition)
         assert group.order == ref.order
+
+
+def test_bose81_group():
+    """39,121 leaves and 30-39 s before leaves were ranked by their traces."""
+    ts = bose(81)
+    group = automorphism_group(ts)
+    assert group.order == 1458
+    assert all(is_automorphism(ts, g) for g in group.generators)
+    assert PermutationGroup.from_generators(ts.n, group.generators).order == 1458
+
+
+LEAF_CEILINGS = {
+    "bose27": (lambda: bose(27), 10),  # 233 leaves when ranked by key alone
+    "bose45": (lambda: bose(45), 30),  # 2,139
+}
+
+
+@pytest.mark.parametrize("name", LEAF_CEILINGS)
+def test_trace_keeps_leaves_near_the_group(name):
+    make, ceiling = LEAF_CEILINGS[name]
+    stats = _canonical_labeling(make()).stats
+    assert stats.leaves <= ceiling
+    assert 0 < stats.trace_stopped < stats.refine_calls
+
+
+def _relabeled(ts, rng):
+    perm = list(range(ts.n))
+    rng.shuffle(perm)
+    return TripleSystem.from_triples(
+        ts.n, [tuple(perm[p] for p in t) for t in ts.iter_triples()]
+    )
+
+
+def _triple_set(ts) -> set:
+    return {frozenset(t) for t in ts.iter_triples()}
+
+
+RELABELED = {
+    "bose27": (lambda: bose(27), 8),
+    "bose45": (lambda: bose(45), 1),
+    "pg4": (lambda: pg_sts(4), 3),
+}
+
+
+@pytest.mark.parametrize("name", RELABELED)
+def test_relabeled_copies_share_the_canonical_form(name):
+    """Each copy starts the search from other points, so its first leaves
+    and the bests it replaces differ; the form may not, and no generator
+    found may be redundant."""
+    make, copies = RELABELED[name]
+    ts = make()
+    form = canonical_form(ts)
+    rng = random.Random(name)
+    for _ in range(copies):
+        other = _relabeled(ts, rng)
+        canon = _canonical_labeling(other)
+        assert canon.form == form
+        ref = PermutationGroup.from_generators(ts.n, canon.automorphisms)
+        assert ref.generators == canon.automorphisms
+        cert = are_isomorphic(ts, other)
+        assert cert.isomorphic
+        mapped = {frozenset(cert.mapping[p] for p in t) for t in ts.iter_triples()}
+        assert mapped == _triple_set(other)
+
+
+def _pasch_switched(ts):
+    """`ts` with one Pasch configuration abc, ayz, xbz, xyc traded for
+    xyz, xbc, ayc, abz (found with c = third(a, b), z = third(x, b),
+    y = third(x, c))."""
+    third = ts.incidence.third
+    a, b, c = ts.triples[0].tolist()
+    for x in range(ts.n):
+        if x in (a, b, c):
+            continue
+        z, y = third[x][b], third[x][c]
+        if third[y][z] == a:
+            old = {frozenset(t) for t in ((a, b, c), (a, y, z), (x, b, z), (x, y, c))}
+            rows = [t for t in ts.iter_triples() if frozenset(t) not in old]
+            rows += [(x, y, z), (x, b, c), (a, y, c), (a, b, z)]
+            return TripleSystem.from_triples(ts.n, rows)
+    raise AssertionError("no Pasch configuration through the first triple")
+
+
+def test_switched_copy_is_not_isomorphic():
+    ts = pg_sts(4)
+    other = _pasch_switched(_relabeled(ts, random.Random(4)))
+    assert _triple_set(other) != _triple_set(ts)
+    assert canonical_form(other) != canonical_form(ts)
+    assert not are_isomorphic(ts, other).isomorphic
+    assert automorphism_group(other).order < automorphism_group(ts).order
