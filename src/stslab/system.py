@@ -193,7 +193,7 @@ class TripleSystem(_SystemBase):
         """Empty when n(n-1)/6 triples with distinct pair codes cover all
         pairs at an admissible n; else the violations, size rules included."""
         size = _size_violations(self.n, self.n_triples)
-        if not size and _scan_pair_coverage(self) == 3 * self.n_triples:
+        if not size and _scan_pair_coverage(self):
             return []
         return _structural_violations(self) + size or _duplicate_pair_violations(self)
 
@@ -204,8 +204,8 @@ class PartialTripleSystem(_SystemBase):
 
     def _violations(self) -> list:
         """Empty when the pair codes are distinct; the violations are named
-        only when their count is short."""
-        if _scan_pair_coverage(self) == 3 * self.n_triples:
+        only when they are not."""
+        if _scan_pair_coverage(self):
             return []
         return _structural_violations(self) or _duplicate_pair_violations(self)
 
@@ -229,27 +229,43 @@ def _pair_codes(triples: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([a * nn + b, a * nn + c, b * nn + c])
 
 
-def _scan_pair_coverage(ts: _SystemBase) -> int:
-    """The number of distinct pair codes a*n+b of the triples: 3m exactly
-    when no pair is listed twice (a row with a repeated point lists one).
+def _triangle_offsets(n: int) -> np.ndarray:
+    """off[x] = x(2n-3-x)/2 - 1, so that off[x] + y for x < y numbers the
+    pairs of 0..n-1 one-to-one onto 0..n(n-1)/2 - 1 in code order."""
+    x = np.arange(n, dtype=np.intp)
+    return x * (2 * n - 3 - x) // 2 - 1
 
-    Marks the codes in an n*n boolean map, a chunk of rows at a time, and
-    counts the marks; sorts the codes instead when they take fewer bytes.
+
+def _scan_pair_coverage(ts: _SystemBase) -> bool:
+    """Whether the 3m pairs the rows list are distinct, which a row with a
+    repeated point never is (it lists one pair twice).
+
+    Marks each pair x < y at its upper-triangle index (_triangle_offsets)
+    in a boolean map of n(n-1)/2 entries, a chunk of rows at a time, and
+    counts the marks; a chunk holding a row with a repeated point, which
+    has no index, settles the answer before any of it is marked.  Sorts
+    the codes a*n+b instead when they take fewer bytes than the map.
     """
     n = ts.n
     m = ts.n_triples
-    if 3 * m * (4 if n <= 65535 else 8) < n * n:
+    cells = n * (n - 1) // 2
+    if 3 * m * (4 if n <= 65535 else 8) < cells:
         codes = np.sort(_pair_codes(ts.triples, n))
-        return codes.size - int(np.count_nonzero(codes[1:] == codes[:-1]))
-    seen = np.zeros(n * n, dtype=bool)
+        return not np.any(codes[1:] == codes[:-1])
+    off = _triangle_offsets(n)
+    seen = np.zeros(cells, dtype=bool)
     for rows in _chunks(ts.triples):
-        a, b, c = (rows[:, i].astype(np.intp) for i in range(3))
-        a *= n
-        seen[a + b] = True
-        seen[a + c] = True
-        b *= n
-        seen[b + c] = True
-    return int(np.count_nonzero(seen))
+        a, b, c = rows.T.copy()  # contiguous columns
+        if np.any(a == b) or np.any(b == c):  # rows are sorted: a <= b <= c
+            return False
+        oa = off.take(a)
+        seen[oa + b] = True
+        oa += c
+        seen[oa] = True
+        ob = off.take(b)
+        ob += c
+        seen[ob] = True
+    return int(np.count_nonzero(seen)) == 3 * m
 
 
 def _structural_violations(ts: _SystemBase) -> list:
@@ -417,7 +433,7 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-_READ_BYTES = 1 << 23
+_READ_BYTES = 1 << 20  # each step of the parse takes about 9 bytes of scratch per byte
 _LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
 
 
@@ -425,12 +441,15 @@ def _parse_rows(raw: bytes, start: int, n: int):
     """The rows of raw[start:] as an int32 (m, 3) array, when every line is
     three in-range decimal indices joined by single spaces; else None.
 
-    Reads about _READ_BYTES at a time, cut at line ends.
+    Reads about _READ_BYTES at a time, cut at line ends, into one array
+    with a row per line end.
     """
     if len(raw) > start and not raw.endswith(b"\n"):
         raw += b"\n"
     width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
-    chunks = []
+    rows = np.empty((raw.count(b"\n", start), 3), dtype=np.int32)
+    values = rows.reshape(-1)  # at most 9 digits each
+    done = 0
     while start < len(raw):
         stop = raw.find(b"\n", min(start + _READ_BYTES, len(raw)) - 1) + 1
         buf = np.frombuffer(raw, dtype=np.uint8, count=stop - start, offset=start)
@@ -443,16 +462,16 @@ def _parse_rows(raw: bytes, start: int, n: int):
         lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
         if lengths.min() < 1 or lengths.max() > width:
             return None
-        values = np.zeros(seps.size, dtype=np.int32)  # at most 9 digits
+        chunk = values[done : done + seps.size]
+        chunk[:] = 0
         for k in range(1, int(lengths.max()) + 1):  # add the k-th digit from the right
             digit = buf[np.maximum(seps - k, 0)] - np.int32(ord("0"))
             digit *= lengths >= k
             digit *= 10 ** (k - 1)
-            values += digit
-        if values.max() >= n:
+            chunk += digit
+        if chunk.max() >= n:
             return None
-        chunks.append(values.reshape(-1, 3))
-    rows = np.concatenate(chunks) if chunks else np.empty((0, 3), dtype=np.int32)
+        done += seps.size
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows
 

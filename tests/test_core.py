@@ -238,6 +238,66 @@ def test_validation_matches_set_reference_random(case):
     _check_against_reference(*case)
 
 
+def test_triangle_index_numbers_the_pairs_in_code_order():
+    for n in range(41):
+        off = stslab.system._triangle_offsets(n).tolist()
+        index = [off[x] + y for x in range(n) for y in range(x + 1, n)]
+        assert index == list(range(n * (n - 1) // 2)), n
+
+
+_B10 = boolean_space(10).triples_array()  # 174,251 rows: three scan chunks of 2**16
+
+
+def _b10_fault(fault: str) -> np.ndarray:
+    """The rows of boolean_space(10) with one fault put among the rows of
+    the scan's last chunk."""
+    rows = _B10.copy()
+    n = boolean_space(10).n
+    a, b, c = (int(v) for v in rows[-1])
+    if fault == "repeats 0":  # (0, 0, c) sorts to the front: the first chunk stops the scan
+        rows[-1] = (0, 0, c)
+    elif fault == "repeats n-1":  # stays the last row
+        rows[-1] = (a, n - 1, n - 1)
+    else:
+        # (x, a, c) covers the pair (a, c) of the last row a second time, in
+        # its (b, c) column; the rows through x and a and through x and c
+        # go, so no other pair is covered twice
+        x = int(rows[-(1 << 14), 0])
+        assert rows[2 << 16, 0] < x < a
+        holds = [np.any(rows == p, axis=1) for p in (x, a, c)]
+        gone = np.flatnonzero((holds[0] & holds[1]) | (holds[0] & holds[2]))
+        rows = np.vstack([np.delete(rows, gone, axis=0), [(x, a, c)]])
+    return rows
+
+
+@pytest.mark.parametrize("fault", ["repeats 0", "repeats n-1", "pair twice"])
+def test_map_scan_faults_in_the_last_chunk_match_set_reference(monkeypatch, fault):
+    monkeypatch.setattr(stslab.system, "_CHUNK", 1 << 16)
+    rows = _b10_fault(fault)
+    n = boolean_space(10).n
+    assert 3 * rows.shape[0] * 4 >= n * (n - 1) // 2  # the map side of the scan
+    for cls, full in ((PartialTripleSystem, False), (TripleSystem, True)):
+        ok, violations = _reference_report(n, rows, full)
+        assert not ok
+        with pytest.raises(InvalidSystemError) as exc:
+            cls(n, rows)
+        assert exc.value.violations == violations, cls.__name__
+
+
+def test_scan_of_the_switched_space_stays_below_the_full_map():
+    """The scan of the 8,191-point switched system holds less than the
+    n*n bytes a map of every ordered pair would take."""
+    system = replace_triples(boolean_space(13), cyclic_pstss(6).system).system
+    tracemalloc.start()
+    try:
+        distinct = stslab.system._scan_pair_coverage(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distinct
+    assert peak < system.n**2, f"{peak / 1e6:.1f} MB traced for n = {system.n}"
+
+
 # ---------------------------------------------------------------------------
 # closure
 
@@ -563,6 +623,27 @@ def test_write_matches_fstring_oracle(tmp_path, monkeypatch, system, chunk_rows)
     _fstring_write(system, tmp_path / "old.sts")
     assert (tmp_path / "new.sts").read_bytes() == (tmp_path / "old.sts").read_bytes()
     assert read_system(tmp_path / "new.sts") == system
+
+
+def test_read_holds_the_rows_once(tmp_path):
+    """Reading a 2.8M-row file holds its bytes and one copy of its rows,
+    with less than a second copy's worth of scratch on top."""
+    space = boolean_space(12)
+    system = TripleSystem(space.n, space.triples_array())
+    path = tmp_path / "b12.sts"
+    write_system(system, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == system
+    rows = system.triples.nbytes
+    assert peak < size + 2 * rows, (
+        f"{peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of file, {rows / 1e6:.1f} MB of rows"
+    )
 
 
 def _read_outcome(path, by_lines=False, read_bytes=None):
