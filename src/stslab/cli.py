@@ -213,15 +213,8 @@ def cmd_solve_params(args) -> int:
 
 def cmd_embed_pstss(args) -> int:
     if args.mode == "theorem13":
-        v = read_system(args.input)
-        attached = attach_gadgets(v)
-        n_prime = attached.system.n
-        if n_prime > args.np_cap:
-            raise CliError(
-                f"decorated system has {n_prime} points; the Boolean space "
-                f"would need 2^{n_prime} - 1 (cap {args.np_cap})"
-            )
-        rep = replace_triples(boolean_space(n_prime), attached.system, cap=args.np_cap)
+        attached = attach_gadgets(read_system(args.input))
+        rep = replace_triples(boolean_space(attached.system.n), attached.system)
         names = [f"subset {i + 1:b}" for i in range(rep.system.n)]
         _write_outputs(rep.system, args, args.output, names)
         print(
@@ -257,7 +250,7 @@ def cmd_embed_pstss(args) -> int:
 
 
 def cmd_rigid_search(args) -> int:
-    system = rigid_sts_search(args.n, seed=args.seed, max_attempts=args.attempts)
+    system = rigid_sts_search(args.n, seed=args.seed)
     _write_outputs(system, args, args.output, None)
     print(f"wrote {args.output}: rigid system on {system.n} points (seed {args.seed})")
     return EXIT_OK
@@ -333,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("theorem13", "cor46", "cor47"), required=True)
     p.add_argument("--other", help="second system file (cor46)")
     p.add_argument("--v1", help="comma-separated subsystem points (cor47)")
-    p.add_argument("--np-cap", type=int, default=20, dest="np_cap")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_embed_pstss)
 
     p = sub.add_parser("rigid-search", help="find a system with no symmetry")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=200)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_rigid_search)
 

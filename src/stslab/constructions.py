@@ -154,13 +154,12 @@ def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
 # Pointedness / pairing predicates
 
 
-def is_pg2_pointed(ts: TripleSystem, p: int, explain: bool = False):
+def is_pg2_pointed(ts: TripleSystem, p: int) -> bool:
     """Any two triples through p generate a 7-point subsystem."""
     for pair_a, pair_b in combinations(ts.incidence.pairs[p], 2):
         if fano_plane(ts, p, pair_a, pair_b) is None:
-            witness = tuple(tuple(sorted((p, *pair))) for pair in (pair_a, pair_b))
-            return (False, witness) if explain else False
-    return (True, None) if explain else True
+            return False
+    return True
 
 
 def _is_projective_15(ts, points) -> bool:
@@ -172,12 +171,12 @@ def _is_projective_15(ts, points) -> bool:
     return True
 
 
-def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
+def is_pg3_2pointed(ts: TripleSystem, p: int, q: int) -> bool:
     """Any four points including p, q generate PG(2,2) or PG(3,2).
 
     A pair {x, y} inside a good closure S is skipped: its span is a
     subspace of S with at least four points, so a plane or S itself, and
-    good either way.  The verdict and the first witness are unchanged.
+    good either way.
     """
     if ts.n <= 7:
         raise ConstructionError("PG(3,2)-2-pointedness needs more than 7 points")
@@ -192,16 +191,15 @@ def is_pg3_2pointed(ts: TripleSystem, p: int, q: int, explain: bool = False):
                 for r in closure:
                     near[r].update(closure)
             else:
-                return (False, (p, q, x, y)) if explain else False
-    return (True, None) if explain else True
+                return False
+    return True
 
 
-def is_pg2_paired(ts: TripleSystem, explain: bool = False):
+def is_pg2_paired(ts: TripleSystem) -> bool:
     """Any two points lie in at least two 7-point subsystems.
 
     The planes through a pair are those through its triple {a, b, c}, and
-    each of them holds another triple through a; the witness is the first
-    failing pair, which is the (a, b) of the first failing triple.
+    each of them holds another triple through a.
     """
     pairs = ts.incidence.pairs
     for a, b, c in ts.triples.tolist():
@@ -213,8 +211,8 @@ def is_pg2_paired(ts: TripleSystem, explain: bool = False):
                 if len(planes) == 2:
                     break
         if len(planes) < 2:
-            return (False, (a, b)) if explain else False
-    return (True, None) if explain else True
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -504,35 +502,32 @@ class UnsupportedEmbeddingError(ConstructionError):
     pass
 
 
+def _embeds(x_size: int, y0_size: int) -> bool:
+    """The toolbox's rule: both sizes admissible, y0 >= 2x + 1, and for
+    x > 3 y0 on the doubling chain 2x + 1, 4x + 3, ... of x."""
+    if not (_admissible(x_size) and _admissible(y0_size) and y0_size > 2 * x_size):
+        return False
+    q, r = divmod(y0_size + 1, x_size + 1)
+    return x_size <= 3 or r == 0 and q & (q - 1) == 0
+
+
 def reachable_sizes(x_size: int, limit: int = 1000) -> list:
     """Sizes y0 <= limit for which embed_subsystem(x_size, y0) succeeds."""
-    if x_size <= 1:
-        return [y0 for y0 in range(x_size, limit + 1) if _admissible(y0) and y0 > x_size]
-    if x_size == 3:
-        return [y0 for y0 in range(7, limit + 1) if _admissible(y0)]
-    if not _admissible(x_size):
-        return []
-    out = []
-    y0 = 2 * x_size + 1
-    while y0 <= limit:
-        out.append(y0)
-        y0 = 2 * y0 + 1
-    return out
+    return [y0 for y0 in range(limit + 1) if _embeds(x_size, y0)]
 
 
 def embed_subsystem(x_size: int, y0_size: int):
-    """An STS on y0_size points with a designated closed x_size subsystem.
+    """An STS on y0_size points with a designated closed x_size subsystem,
+    a proper one, so that Y - X is not empty.
 
     A finite toolbox (base generators, doubling chains); unsupported pairs
     fail loudly rather than falling back to unverified search.
     """
-    if not _admissible(x_size) or not _admissible(y0_size):
-        raise ConstructionError(
-            f"sizes ({x_size}, {y0_size}) must be 0, 1, or 1/3 mod 6"
-        )
-    if x_size > 1 and y0_size < 2 * x_size + 1:
-        raise ConstructionError(
-            f"need y0 >= 2x + 1, got ({x_size}, {y0_size})"
+    if not _embeds(x_size, y0_size):
+        raise UnsupportedEmbeddingError(
+            f"pair ({x_size}, {y0_size}) is outside the toolbox: it needs sizes "
+            f"0, 1 or 1/3 mod 6, y >= 2x + 1 and, for x > 3, y on the chain "
+            f"2x + 1, 4x + 3, ..."
         )
     if x_size <= 1:
         return base_sts(y0_size), frozenset(range(x_size))
@@ -540,20 +535,9 @@ def embed_subsystem(x_size: int, y0_size: int):
         ts = base_sts(y0_size)
         return ts, frozenset(ts.triples[0].tolist())
     if y0_size == 2 * x_size + 1:
-        inner = base_sts(x_size)
-        return double(inner), frozenset(range(x_size))
-    half = (y0_size - 1) // 2
-    if y0_size == 2 * half + 1 and _admissible(half) and half >= x_size:
-        try:
-            ts, xset = embed_subsystem(x_size, half)
-        except ConstructionError:
-            pass
-        else:
-            return double(ts), xset
-    raise UnsupportedEmbeddingError(
-        f"pair ({x_size}, {y0_size}) is outside the toolbox; reachable sizes "
-        f"for x = {x_size}: {reachable_sizes(x_size, max(4 * x_size + 3, 100))}"
-    )
+        return double(base_sts(x_size)), frozenset(range(x_size))
+    ts, xset = embed_subsystem(x_size, (y0_size - 1) // 2)
+    return double(ts), xset
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +646,10 @@ def random_sts(n: int, rng: random.Random) -> TripleSystem:
     return TripleSystem.from_triples(n, sorted(triples))
 
 
-def rigid_sts_search(
-    n: int, seed: int = 0, max_attempts: int = 200, budget: int | None = None
-) -> TripleSystem:
+_RIGID_ATTEMPTS = 200  # random systems tried before the search gives up
+
+
+def rigid_sts_search(n: int, seed: int = 0) -> TripleSystem:
     """Search for an STS(n) with trivial automorphism group.
 
     Rigid systems first exist at 15 points; smaller admissible sizes are
@@ -677,10 +662,10 @@ def rigid_sts_search(
     if not _admissible(n):
         raise ConstructionError(f"{n} is not an admissible size")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_RIGID_ATTEMPTS):
         cand = random_sts(n, rng)
-        if automorphism_group(cand, budget=budget).order == 1:
+        if automorphism_group(cand).order == 1:
             return cand
     raise ConstructionError(
-        f"no rigid system found on {n} points within {max_attempts} attempts"
+        f"no rigid system found on {n} points within {_RIGID_ATTEMPTS} attempts"
     )

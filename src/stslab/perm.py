@@ -47,6 +47,9 @@ def cycle_string(p: tuple) -> str:
     return "".join(parts) or "()"
 
 
+_ELEMENTS_LIMIT = 1_000_000  # elements() refuses larger groups: a million take seconds
+
+
 class _ChainLevel:
     __slots__ = ("base_point", "transversal", "inverses", "checked")
 
@@ -198,10 +201,10 @@ class PermutationGroup:
                     return residue, level
         return None
 
-    def elements(self, limit: int | None = 1_000_000):
+    def elements(self):
         """Iterate all elements (products of transversal reps)."""
-        if limit is not None and self.order > limit:
-            raise ValueError(f"group order {self.order} exceeds limit {limit}")
+        if self.order > _ELEMENTS_LIMIT:
+            raise ValueError(f"group order {self.order} exceeds limit {_ELEMENTS_LIMIT}")
 
         def rec(idx: int, acc: tuple):
             if idx < 0:

@@ -175,11 +175,24 @@ def attach_gadgets(v) -> AttachedSystem:
 # Boolean projective space and triple replacement
 
 
+# The largest ground size of a Boolean space.  Its n = 2^n' - 1 points take
+# about 2.5 n^2 bytes to build: n^2/6 rows of 12 bytes and the pair scan's
+# map of n^2/2.  That is 0.67 GB at n' = 14, 2.7 GB at 15 and 10.7 GB at 16.
+MAX_GROUND = 15
+
+
 @dataclass(frozen=True)
 class BooleanSpace:
     """Nonempty subsets of an n'-set; point index = bitmask - 1."""
 
     n_prime: int
+
+    def __post_init__(self):
+        if not 1 <= self.n_prime <= MAX_GROUND:
+            raise PstssError(
+                f"Boolean space ground size {self.n_prime} is outside 1..{MAX_GROUND}: "
+                f"2^n' - 1 points take about 2.5 (2^n' - 1)^2 bytes"
+            )
 
     @property
     def n(self) -> int:
@@ -207,10 +220,7 @@ class BooleanSpace:
         return TripleSystem(self.n, self.triples_array())
 
 
-def boolean_space(n_prime: int) -> BooleanSpace:
-    if n_prime < 1:
-        raise PstssError("ground set must be nonempty")
-    return BooleanSpace(n_prime)
+boolean_space = BooleanSpace
 
 
 @dataclass(frozen=True)
@@ -236,17 +246,14 @@ class ReplacedSystem:
         return ((x + 1) ^ (y + 1)) - 1
 
 
-def replace_triples(space: BooleanSpace, vprime, cap: int = 20) -> ReplacedSystem:
+def replace_triples(space: BooleanSpace, vprime) -> ReplacedSystem:
     """Switch four triples per vprime-triple; the pair cover is unchanged.
 
     vprime's points index the singleton subsets (point j <-> mask 1<<j).
     The space's rows are switched in place and stay sorted, so the system
     adopts them with no copy.
     """
-    np_ = space.n_prime
-    if np_ > cap:
-        raise PstssError(f"ground size {np_} exceeds cap {cap} (2^n' - 1 points)")
-    if vprime.n > np_:
+    if vprime.n > space.n_prime:
         raise PstssError("vprime has more points than the ground set")
     removed = []
     added = []
@@ -371,21 +378,23 @@ def _closed_u_set(rep: ReplacedSystem, pts: frozenset, x: int, y: int, z: int) -
     return True
 
 
-def reconstruct_line(
-    rep: ReplacedSystem, x: int, y: int, samples: int = 24, seed: int = 0
-) -> frozenset:
+_LINE_SAMPLES = 24  # third points sampled per line
+
+
+def reconstruct_line(rep: ReplacedSystem, x: int, y: int) -> frozenset:
     """Recover the space line through x and y from the switched system.
 
     Samples third points p, forms the closed 7-sets, and intersects two
-    distinct ones; their common part is the line.
+    distinct ones; their common part is the line.  The samples are drawn
+    from a generator seeded by x and y alone, so the answer is reproducible.
     """
     if x == y:
         raise PstssError("need two distinct points")
-    rng = random.Random(f"{seed},{x},{y}")
+    rng = random.Random(f"0,{x},{y}")
     n = rep.system.n
     found: dict = {}
     tried = 0
-    while tried < samples:
+    while tried < _LINE_SAMPLES:
         p = rng.randrange(n)
         if p in (x, y):
             continue
@@ -404,7 +413,7 @@ def reconstruct_line(
                 return frozenset(inter)
     raise PstssError(
         f"could not reconstruct the line through {x}, {y}: "
-        f"only {len(found)} valid sample sets (raise `samples`)"
+        f"only {len(found)} valid sample sets in {_LINE_SAMPLES} samples"
     )
 
 

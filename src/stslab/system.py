@@ -12,6 +12,7 @@ raises InvalidSystemError.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -318,10 +319,13 @@ def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:
 
     With cap set, returns early (uncapped superset semantics are abandoned)
     as soon as the closure exceeds cap points; the partial result is still a
-    subset of the true closure.
+    subset of the true closure.  A seed point outside 0..n-1 raises
+    ValueError.
     """
-    third = ts.incidence.third
     current = set(seed)
+    if current and (min(current) < 0 or max(current) >= ts.n):
+        raise ValueError(f"seed points must lie in 0..{ts.n - 1}")
+    third = ts.incidence.third
     frontier = list(current)
     while frontier:
         new = []
@@ -480,14 +484,15 @@ def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
     A body of plain "a b c" lines is parsed by numpy; any other body is
-    read line by line, which reports the first bad line.  Building the
-    system the header names validates it; a file that breaks its axioms
-    raises FormatError listing every violation found.
+    read line by line, which reports the first bad line.  The file's bytes
+    are let go before the system the header names is built, which
+    validates it; a file that breaks its axioms raises FormatError listing
+    every violation found.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace")
-    header = text.readline()
+    cut = re.match(rb"[^\r\n]*", raw).end()  # the header ends at the first \r or \n
+    header = raw[:cut].decode("utf-8", errors="replace")
     parts = header.split()
     if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
         raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
@@ -497,14 +502,15 @@ def read_system(path):
         n = -1
     if n < 0:
         raise FormatError(path, 1, f"bad point count {parts[1]!r}")
-    head = header.encode()
     rows = None
-    if head.endswith(b"\n") and raw.startswith(head):
-        rows = _parse_rows(raw, len(head), n)
-    if rows is None:
+    if raw[cut : cut + 1] == b"\n" and raw.startswith(header.encode()):
+        rows = _parse_rows(raw, cut + 1, n)
+    if rows is None:  # the line parser, whose text wrapper lives for the loop alone
         rows = []
-        for line_no, line in enumerate(text, start=2):
-            if not line.strip():
+        for line_no, line in enumerate(
+            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace"), start=1
+        ):
+            if line_no == 1 or not line.strip():  # the header, or a blank line
                 continue
             fields = line.split()
             if len(fields) != 3:
@@ -516,6 +522,7 @@ def read_system(path):
             if any(p < 0 or p >= n for p in t):
                 raise FormatError(path, line_no, f"index out of range 0..{n - 1}")
             rows.append(t)
+    del raw
     cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem
     try:
         return cls(n, rows)

@@ -266,13 +266,13 @@ def test_embed_pstss_cor46(tmp_path, capsys):
 
 def test_embed_pstss_theorem13_cap(tmp_path, capsys):
     v = tmp_path / "v.pstss"
-    v.write_text("pstss 1\n")
-    code = _run(
-        "embed-pstss", "--mode", "theorem13", "--input", str(v),
-        "--np-cap", "10", "--output", str(tmp_path / "o.sts"),
-    )
+    v.write_text("pstss 2\n")  # gadgets make 36 points: a Boolean space on 2^36 - 1
+    out = tmp_path / "o.sts"
+    code = _run("embed-pstss", "--mode", "theorem13", "--input", str(v), "--output", str(out))
     assert code == EXIT_VALIDATION
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: Boolean space ground size 36 ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_rigid_search_cmd(tmp_path, capsys):
@@ -289,6 +289,9 @@ def test_rigid_search_cmd(tmp_path, capsys):
     "argv,code",
     [
         ("construct boolean --dim 0 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("construct boolean --dim 16 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("construct moore --x 1 --y 0 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("classify-fano --x 1 --y 0 --v 3", EXIT_VALIDATION),
         ("solve-params --check {tmp}/missing.txt", EXIT_VALIDATION),
         ("verify {tmp}", EXIT_VALIDATION),
         ("construct double --input {tmp}/f.sts --output {tmp}/no/dir/x.sts", EXIT_VALIDATION),
@@ -300,7 +303,8 @@ def test_rigid_search_cmd(tmp_path, capsys):
         ("embed-pstss --mode cor47 --input {tmp}/f.sts --output {tmp}/x.pstss", EXIT_USAGE),
     ],
     ids=[
-        "boolean_dim_0", "missing_certificate", "verify_directory", "unwritable_output",
+        "boolean_dim_0", "boolean_dim_16", "moore_x_in_empty_y", "classify_fano_x_in_empty_y",
+        "missing_certificate", "verify_directory", "unwritable_output",
         "moore_negative_x", "base_negative_n", "certificate_not_an_int",
         "certificate_unknown_key", "cor46_without_other", "cor47_without_v1",
     ],

@@ -129,7 +129,7 @@ def test_pg3_2pointed_on_double_double():
         assert is_pg3_2pointed(dd, p, q)
 
 
-def _pg3_2pointed_every_pair(ts, p, q):
+def _pg3_2pointed_every_pair(ts, p, q) -> bool:
     """The loop without the skip: every pair spanned, verdicts cached by closure."""
     others = [r for r in range(ts.n) if r not in (p, q)]
     verdicts = {}
@@ -143,8 +143,8 @@ def _pg3_2pointed_every_pair(ts, p, q):
                 )
                 verdicts[closure] = good
             if not good:
-                return (False, (p, q, others[i], others[j]))
-    return (True, None)
+                return False
+    return True
 
 
 def _counting_span(monkeypatch) -> list:
@@ -178,7 +178,7 @@ def test_pg3_2pointed_spans_each_closure_once(monkeypatch):
 )
 def test_pg3_2pointed_matches_every_pair_loop(make, p, q):
     ts = make()
-    assert is_pg3_2pointed(ts, p, q, explain=True) == _pg3_2pointed_every_pair(ts, p, q)
+    assert is_pg3_2pointed(ts, p, q) is _pg3_2pointed_every_pair(ts, p, q)
 
 
 def test_pg2_paired_on_pg3():
@@ -414,6 +414,20 @@ def test_reachable_sizes():
     assert 31 in reachable_sizes(7, 100)
     assert 19 not in reachable_sizes(7, 100)
     assert reachable_sizes(3, 30) == [7, 9, 13, 15, 19, 21, 25, 27]
+
+
+def test_embed_subsystem_succeeds_exactly_on_the_reachable_sizes():
+    for x in range(-1, 40):
+        reachable = reachable_sizes(x, 200)
+        built = []
+        for y in range(201):
+            try:
+                ts, xset = embed_subsystem(x, y)
+            except UnsupportedEmbeddingError:
+                continue
+            assert ts.n == y and len(xset) == x and is_subsystem(ts, xset), (x, y)
+            built.append(y)
+        assert built == reachable, x
 
 
 # ---------------------------------------------------------------------------

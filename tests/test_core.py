@@ -352,6 +352,16 @@ def test_restrict_rejects_points_out_of_range(outside):
         restrict(cyclic_pstss(4).system, {0, 1, 2, outside})
 
 
+@pytest.mark.parametrize("seed", [{-1, 0}, {-1}, {7}, {0, 99}])
+def test_closure_rejects_seed_points_out_of_range(seed):
+    """A seed point outside 0..n-1 must not wrap round to n - 1 as a
+    third-point table index, nor fall off the table's end."""
+    with pytest.raises(ValueError, match=r"0\.\.6"):
+        span(FANO, seed)
+    with pytest.raises(ValueError, match=r"0\.\.6"):
+        is_subsystem(FANO, seed)
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -643,6 +653,33 @@ def test_read_holds_the_rows_once(tmp_path):
     rows = system.triples.nbytes
     assert peak < size + 2 * rows, (
         f"{peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of file, {rows / 1e6:.1f} MB of rows"
+    )
+
+
+def test_read_lets_go_of_the_file_before_building(tmp_path, monkeypatch):
+    """When the system is built, the file's bytes are no longer held: the
+    memory traced then is the parsed rows, not the file on top of them."""
+    space = boolean_space(10)
+    system = TripleSystem(space.n, space.triples_array())
+    path = tmp_path / "b10.sts"
+    write_system(system, path)
+    held = []
+    post_init = stslab.system._SystemBase.__post_init__
+
+    def traced_post_init(self):
+        held.append(tracemalloc.get_traced_memory()[0])
+        post_init(self)
+
+    monkeypatch.setattr(stslab.system._SystemBase, "__post_init__", traced_post_init)
+    tracemalloc.start()
+    try:
+        got = read_system(path)
+    finally:
+        tracemalloc.stop()
+    assert got == system
+    size, rows = path.stat().st_size, system.triples.nbytes
+    assert held[0] < rows + size / 2, (
+        f"{held[0] / 1e6:.2f} MB held for {size / 1e6:.2f} MB of file, {rows / 1e6:.2f} MB of rows"
     )
 
 

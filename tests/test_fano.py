@@ -181,17 +181,17 @@ def _lines_through(ts, p):
 
 
 def _pointed_by_definition(ts, planes, p):
-    for la, lb in combinations(_lines_through(ts, p), 2):
-        if not any(set(la) | set(lb) <= set(plane) for plane in planes):
-            return False, (la, lb)
-    return True, None
+    return all(
+        any(set(la) | set(lb) <= set(plane) for plane in planes)
+        for la, lb in combinations(_lines_through(ts, p), 2)
+    )
 
 
 def _paired_by_definition(ts, planes):
-    for a, b in combinations(range(ts.n), 2):
-        if sum(a in plane and b in plane for plane in planes) < 2:
-            return False, (a, b)
-    return True, None
+    return all(
+        sum(a in plane and b in plane for plane in planes) >= 2
+        for a, b in combinations(range(ts.n), 2)
+    )
 
 
 @pytest.mark.parametrize(
@@ -210,14 +210,14 @@ def test_predicates_match_plane_definitions(make, n_planes, pointed, paired):
     assert len(planes) == n_planes
     got_pointed = []
     for p in range(ts.n):
-        verdict = is_pg2_pointed(ts, p, explain=True)
-        assert verdict == _pointed_by_definition(ts, planes, p)
-        if verdict[0]:
+        verdict = is_pg2_pointed(ts, p)
+        assert verdict is _pointed_by_definition(ts, planes, p)
+        if verdict:
             got_pointed.append(p)
     assert got_pointed == pointed
-    verdict = is_pg2_paired(ts, explain=True)
-    assert verdict == _paired_by_definition(ts, planes)
-    assert verdict[0] is paired
+    verdict = is_pg2_paired(ts)
+    assert verdict is _paired_by_definition(ts, planes)
+    assert verdict is paired
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_elements_distinct_and_closed():
             assert compose(p, q) in eset
 
 
+def test_elements_of_a_group_above_the_limit_raise_before_the_first():
+    g = PermutationGroup.from_generators(10, [(1, 0, *range(2, 10)), (*range(1, 10), 0)])
+    assert g.order == 3_628_800  # S_10
+    with pytest.raises(ValueError, match="order 3628800 exceeds limit 1000000"):
+        next(g.elements())
+
+
 def test_extend_incremental():
     g = PermutationGroup.trivial(5)
     assert g.order == 1

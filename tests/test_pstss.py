@@ -30,7 +30,7 @@ from stslab import (
     validate_sts,
 )
 from stslab import pstss
-from stslab.pstss import _switch_rows, is_cyclic_pstss, nonspace_triples
+from stslab.pstss import BooleanSpace, _switch_rows, is_cyclic_pstss, nonspace_triples
 from stslab.system import _triple_keys
 
 
@@ -227,6 +227,16 @@ def test_replace_triples_guards():
         replace_triples(boolean_space(21), cyclic_pstss(3).system)
     with pytest.raises(PstssError):
         replace_triples(boolean_space(4), cyclic_pstss(3).system)
+
+
+@pytest.mark.parametrize("n_prime", [-1, 0, 16, 36])
+def test_boolean_space_ground_size_is_checked_where_it_is_built(n_prime):
+    with pytest.raises(PstssError, match=rf"ground size {n_prime} is outside 1\.\.15"):
+        BooleanSpace(n_prime)
+
+
+def test_largest_boolean_space_is_allowed():
+    assert BooleanSpace(15).n == 32767  # its rows are built only on demand
 
 
 def test_reconstruct_line_matches_xor():
