@@ -12,17 +12,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
 from .search import automorphism_group
 from .system import (
+    PLANE_STEP,
     PointSet,
     TripleSystem,
     VerificationError,
-    fano_plane,
+    fano_planes,
     is_subsystem,
+    pairs_within,
     span,
 )
 
@@ -154,21 +156,28 @@ def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
 # Pointedness / pairing predicates
 
 
-def is_pg2_pointed(ts: TripleSystem, p: int) -> bool:
-    """Any two triples through p generate a 7-point subsystem."""
-    for pair_a, pair_b in combinations(ts.incidence.pairs[p], 2):
-        if fano_plane(ts, p, pair_a, pair_b) is None:
+def _spokes_in_planes(ts, keep) -> bool:
+    """Whether every two of the spokes (q, r) that `keep` selects, of one
+    point p each, span a PG(2, 2) with p."""
+    inc = ts.incidence
+    owner = np.repeat(np.arange(ts.n, dtype=np.int32), np.diff(inc.start))[keep]
+    q, r = inc.spokes[keep].T.copy()
+    for i, j in pairs_within(owner):
+        if fano_planes(ts, owner[i], q[i], r[i], q[j], r[j])[0].size < i.size:
             return False
     return True
+
+
+def is_pg2_pointed(ts: TripleSystem, p: int) -> bool:
+    """Any two triples through p generate a 7-point subsystem."""
+    return _spokes_in_planes(ts, slice(ts.incidence.start[p], ts.incidence.start[p + 1]))
 
 
 def _is_projective_15(ts, points) -> bool:
     """A closed 15-set is PG(3,2) iff every two meeting lines in it lie in a plane."""
-    for p in points:
-        inside = [pair for pair in ts.incidence.pairs[p] if pair[0] in points]
-        if any(fano_plane(ts, p, a, b) is None for a, b in combinations(inside, 2)):
-            return False
-    return True
+    inside, inc = np.isin(np.arange(ts.n), list(points)), ts.incidence
+    # a spoke (q, r) of a point inside, with q inside, has r inside: the set is closed
+    return _spokes_in_planes(ts, np.repeat(inside, np.diff(inc.start)) & inside[inc.spokes[:, 0]])
 
 
 def is_pg3_2pointed(ts: TripleSystem, p: int, q: int) -> bool:
@@ -198,20 +207,28 @@ def is_pg3_2pointed(ts: TripleSystem, p: int, q: int) -> bool:
 def is_pg2_paired(ts: TripleSystem) -> bool:
     """Any two points lie in at least two 7-point subsystems.
 
-    The planes through a pair are those through its triple {a, b, c}, and
-    each of them holds another triple through a.
+    The planes through a pair are those through its triple {a, b, c}.  Each
+    holds two more triples through a, whose spokes each find it with (b, c),
+    so three hits mean two planes.  Each round tries the next spokes of a on
+    the triples short of three hits, more of them as fewer are left.
     """
-    pairs = ts.incidence.pairs
-    for a, b, c in ts.triples.tolist():
-        planes = set()
-        for other in pairs[a]:
-            plane = None if other == (b, c) else fano_plane(ts, a, (b, c), other)
-            if plane is not None:
-                planes.add(plane)
-                if len(planes) == 2:
-                    break
-        if len(planes) < 2:
-            return False
+    inc = ts.incidence
+    sq, sr = inc.spokes.T.copy()  # contiguous columns
+    for lo in range(0, ts.n_triples, PLANE_STEP // 4):  # at least 4 spokes per round
+        a, b, c = ts.triples[lo : lo + PLANE_STEP // 4].T.copy()
+        first, degree = inc.start.take(a), np.diff(inc.start).take(a)
+        hits, live, k = np.zeros(a.size, dtype=np.intp), np.arange(a.size), 0
+        while live.size:
+            ks = np.arange(k, k + PLANE_STEP // live.size)  # the next spokes of each live row
+            row, spoke = np.repeat(live, ks.size), np.tile(ks, live.size)
+            ok = spoke < degree.take(row)  # the spoke (b, c) itself fails: third(b, b) = -1
+            row, spoke = row[ok], spoke[ok] + first.take(row[ok])
+            tests = [x.take(row) for x in (a, b, c)] + [x.take(spoke) for x in (sq, sr)]
+            hits += np.bincount(row.take(fano_planes(ts, *tests)[0]), minlength=a.size)
+            short, k = hits.take(live) < 3, k + ks.size
+            if np.any(short & (k >= degree.take(live))):
+                return False
+            live = live[short]
     return True
 
 
@@ -266,7 +283,7 @@ class CyclicLabeling:
         point_of = self.point_of
 
         def is_anchor_triple(w):  # {w, w + m/2, y_star} is a triple of Y
-            return third[point_of[w]][point_of[(w + m // 2) % m]] == point_of[self.y_star]
+            return third.item(point_of[w], point_of[(w + m // 2) % m]) == point_of[self.y_star]
 
         if self.p7b_anchor and not is_anchor_triple(0):
             problems.append("anchor triple {1, -1, y_star} is not a triple of Y")
@@ -308,8 +325,8 @@ def label_per_p7(y: TripleSystem, x_points) -> CyclicLabeling:
     m = len(comp)
     if x_points and m % 2 != 0:
         raise LabelingError("|Y| - |X| must be even when X is nonempty")
-    if m == 0:
-        raise LabelingError("Y - X is empty")
+    if m < 2:
+        raise LabelingError(f"the labeling needs at least 2 points in Y - X, got {m}")
 
     p7a = _p7a_holds(m)
     units = [g for g in range(1, m) if math.gcd(g, m) == 1]
@@ -330,9 +347,10 @@ def label_per_p7(y: TripleSystem, x_points) -> CyclicLabeling:
     y_star = gen_candidates[0]
     flags = (False, False)
     comp_set = set(comp)
+    spokes = y.incidence.spoke_lists()
     for r in comp:
         # the pairs completing the triples through r inside Y - X
-        cands = [(q, s) for q, s in y.incidence.pairs[r] if q in comp_set and s in comp_set]
+        cands = [(q, s) for q, s in spokes[r] if q in comp_set and s in comp_set]
         if not cands:
             continue
         g = gen_candidates[0]

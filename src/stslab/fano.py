@@ -10,10 +10,11 @@ projective subsystem of V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .constructions import MooreInput
-from .system import PointSet, fano_plane, is_subsystem
+from .system import PointSet, fano_planes, is_subsystem, pairs_within
 
 
 # ---------------------------------------------------------------------------
@@ -23,21 +24,22 @@ from .system import PointSet, fano_plane, is_subsystem
 def enumerate_fano(ts) -> list:
     """All PG(2, 2) subsystems, each as a sorted 7-tuple of points.
 
-    Each plane is tested only from its least point p.  Its three lines
-    through p are spokes (q, r) of p with p < q < r, and `fano_plane` on
-    any two of them returns the plane.  So testing every pair of the
-    spokes of p that lie above p finds every plane whose least point is
-    p, and a plane it returns with a smaller least point is dropped here,
-    because the pass over that point finds it.
+    A plane whose least point is p has three lines {p, q, r} through p,
+    rows of the sorted triples whose first point is p, in order of q, and
+    the plane test of any two of them finds it with the third (p, s, t).
+    So every pair of those rows is tested, and a plane is kept only from
+    its two lines of least q, where min(s, t) exceeds both: once.
     """
-    found = set()
-    for p, spokes in enumerate(ts.incidence.pairs):
-        above = [spoke for spoke in spokes if spoke[0] > p]
-        for pair_a, pair_b in combinations(above, 2):
-            plane = fano_plane(ts, p, pair_a, pair_b)
-            if plane is not None and plane[0] == p:
-                found.add(plane)
-    return sorted(found)
+    p, q, r = ts.triples.T.copy()  # contiguous columns
+    found = [np.empty((0, 7), dtype=np.int32)]
+    for i, j in pairs_within(p):
+        q2 = q.take(j)
+        hit, s, t = fano_planes(ts, p.take(i), q.take(i), r.take(i), q2, r.take(j))
+        keep = np.minimum(s, t) > q2.take(hit)
+        i, j = i.take(hit[keep]), j.take(hit[keep])
+        found.append(np.column_stack([p[i], q[i], r[i], q[j], r[j], s[keep], t[keep]]))
+    planes = np.sort(np.concatenate(found), axis=1)
+    return sorted(map(tuple, planes.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,7 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
     if len(by_v) != 3 or any(len(aa) != 2 for aa in by_v.values()):
         return None
     v_triple = tuple(sorted(by_v))
-    if inp.v.incidence.third[v_triple[0]][v_triple[1]] != v_triple[2]:
+    if inp.v.incidence.third.item(v_triple[0], v_triple[1]) != v_triple[2]:
         return None
     # each slice must hold a pair {a, a + m/2} (negation by the unique
     # involution) whose Y-triple passes through x
@@ -144,7 +146,7 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
         a1, a2 = by_v[v]
         if (a1 - a2) % m != m // 2:
             return None
-        if y_third[inp.labeling.point_of[a1]][inp.labeling.point_of[a2]] != x_y_point:
+        if y_third.item(inp.labeling.point_of[a1], inp.labeling.point_of[a2]) != x_y_point:
             return None
         choices.append((a1, a2))
     # a sign choice with zero sum exists (epsilon_1 epsilon_2 epsilon_3 = 1)

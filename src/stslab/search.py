@@ -165,7 +165,7 @@ def _pasch_seed(system, charge) -> list:
     if n < 2 or 3 * system.n_triples != n * (n - 1) // 2:
         return [0] * n  # under two points the one cell needs no table
     points = np.arange(n)
-    t = np.array(system.incidence.third, dtype=np.int32)
+    t = system.incidence.third.copy()
     t[points, points] = points
     counts = np.empty((n, n), dtype=np.intp)
     step = max(1, SEED_BLOCK // (n * n))
@@ -189,7 +189,8 @@ class _SearchData:
 
     def __init__(self, system, budget: int | None = None):
         self.n = system.n
-        self.inc = system.incidence
+        self.third = system.incidence.third
+        self.spokes = system.incidence.spoke_lists()
         self.triples = system.triples
         self.rows = system.triples.tolist()  # for the automorphism check
         self.budget = node_budget(budget)
@@ -229,7 +230,7 @@ class _SearchData:
         self.stats.refine_calls += 1
         self.stats.max_depth = max(self.stats.max_depth, len(seq))
         n = self.n
-        pairs = self.inc.pairs
+        spokes = self.spokes
         if seq:  # the new point goes right after the marked ones
             k = len(seq) - 1
             colors = [c + 1 if c >= k else c for c in colors]
@@ -248,7 +249,7 @@ class _SearchData:
                     sigs.append((c, ()))
                     continue
                 row = []
-                for q, r in pairs[p]:
+                for q, r in spokes[p]:
                     cq, cr = colors[q], colors[r]
                     row.append(cq * n + cr if cq <= cr else cr * n + cq)
                 row.sort()
@@ -282,11 +283,12 @@ def _target_cell(colors: tuple) -> list:
     return cells[min(sizes)[1]] if sizes else []
 
 
-def _maps_into(triples, third: tuple, p) -> bool:
+def _maps_into(triples, third: np.ndarray, p) -> bool:
     """True iff the permutation p sends every triple of `triples` to a
     triple of the system whose third-point table is `third`."""
+    cell = third.item  # one Python int per lookup
     for a, b, c in triples:
-        if third[p[a]][p[b]] != p[c]:
+        if cell(p[a], p[b]) != p[c]:
             return False
     return True
 
@@ -337,7 +339,7 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple, compare: bool) -> i
             # automorphism fixing the common prefix of the two sequences
             inv_best = pm.inverse(data.best_colors)
             g = tuple(inv_best[colors[p]] for p in range(data.n))
-            if not _maps_into(data.rows, data.inc.third, g):
+            if not _maps_into(data.rows, data.third, g):
                 raise VerificationError("equal-key leaves gave a non-automorphism")
             data.auts.append(g)
             common = 0

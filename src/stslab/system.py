@@ -60,7 +60,7 @@ def _normalize(n: int, triples) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("triple entry out of range 0..n-1")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
-    if any(np.any(c[:, 0] > c[:, 1]) or np.any(c[:, 1] > c[:, 2]) for c in _chunks(arr)):
+    if any((c[:, 0] > c[:, 1]).any() or (c[:, 1] > c[:, 2]).any() for c in _chunks(arr)):
         arr = np.sort(arr, axis=1)
     if n > _KEY_MAX_N:
         arr = arr[np.lexsort((arr[:, 2], arr[:, 0].astype(np.int64) * n + arr[:, 1]))]
@@ -92,7 +92,7 @@ def _out_of_order(rows: np.ndarray, n: int) -> bool:
     chunk's keys start at the last row of the chunk before."""
     for lo in range(0, rows.shape[0] - 1, _CHUNK):
         keys = _triple_keys(rows[lo : lo + _CHUNK + 1], n)
-        if np.any(keys[1:] < keys[:-1]):
+        if (keys[1:] < keys[:-1]).any():
             return True
     return False
 
@@ -110,14 +110,22 @@ class InvalidSystemError(ValueError):
 
 
 class Incidence(NamedTuple):
-    """Python views of a system's triples, built once per system.
+    """Read-only arrays of a system's triples, built once per system.
 
-    third[a][b] == third[b][a] is the third point of the triple on {a, b},
-    and -1 on the diagonal and on every pair that no triple covers.
+    third[a, b] == third[b, a] is the third point of the triple on {a, b},
+    and -1 on the diagonal and on every pair that no triple covers.  The
+    spokes of p, the pairs (q, r), q < r, with {p, q, r} a triple, are the
+    rows spokes[start[p]:start[p + 1]], in the order of their triples.
     """
 
-    third: tuple  # n rows of n ints: the third-point table above
-    pairs: tuple  # per point p: the pairs (q, r), q < r, with {p, q, r} a triple
+    third: np.ndarray  # (n, n) int32: the third-point table above
+    spokes: np.ndarray  # (3m, 2) int32: the spokes of each point in turn
+    start: np.ndarray  # (n + 1,) intp: where each point's spokes begin
+
+    def spoke_lists(self) -> list:
+        """Per point, its spokes as a list of [q, r] lists."""
+        rows, bounds = self.spokes.tolist(), self.start.tolist()
+        return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(eq=False)
@@ -152,24 +160,24 @@ class _SystemBase:
         Built on first use; the array path (construct, validate, write,
         read) never builds it.
         """
-        third = [[-1] * self.n for _ in range(self.n)]
-        pairs = [[] for _ in range(self.n)]
-        for a, b, c in self.triples.tolist():
-            ta, tb, tc = third[a], third[b], third[c]
-            ta[b] = tb[a] = c
-            ta[c] = tc[a] = b
-            tb[c] = tc[b] = a
-            pairs[a].append((b, c))
-            pairs[b].append((a, c))
-            pairs[c].append((a, b))
-        for i, row in enumerate(third):  # in place: one list row is alive at a time
-            third[i] = tuple(row)
-        return Incidence(tuple(third), tuple(map(tuple, pairs)))
+        n = self.n
+        a, b, c = self.triples.T.astype(np.intp)  # flat cells x * n + y cannot wrap
+        third = np.full(n * n, -1, dtype=np.int32)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            third[x * n + y] = third[y * n + x] = z
+        # the spokes of p are the cells q < r = third[p, q], in order of q as their triples
+        third = third.reshape(n, n)
+        cells = np.flatnonzero(third > np.arange(n, dtype=np.int32))
+        spokes = np.stack([cells % n, third.reshape(-1).take(cells)], axis=1).astype(np.int32)
+        start = np.searchsorted(cells, np.arange(n + 1) * n)
+        for arr in (third, spokes, start):
+            arr.setflags(write=False)
+        return Incidence(third, spokes, start)
 
     def pair_third(self) -> dict:
         """Map each covered pair (a, b) with a < b to the third point (a copy)."""
-        third, rows = self.incidence.third, self.triples.tolist()
-        return {(x, y): third[x][y] for a, b, c in rows for x, y in ((a, b), (a, c), (b, c))}
+        rows = self.triples.tolist()
+        return {(x, y): z for a, b, c in rows for x, y, z in ((a, b, c), (a, c, b), (b, c, a))}
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.triples.ravel(), minlength=self.n)
@@ -252,12 +260,12 @@ def _scan_pair_coverage(ts: _SystemBase) -> bool:
     cells = n * (n - 1) // 2
     if 3 * m * (4 if n <= 65535 else 8) < cells:
         codes = np.sort(_pair_codes(ts.triples, n))
-        return not np.any(codes[1:] == codes[:-1])
+        return not (codes[1:] == codes[:-1]).any()
     off = _triangle_offsets(n)
     seen = np.zeros(cells, dtype=bool)
     for rows in _chunks(ts.triples):
         a, b, c = rows.T.copy()  # contiguous columns
-        if np.any(a == b) or np.any(b == c):  # rows are sorted: a <= b <= c
+        if (a == b).any() or (b == c).any():  # rows are sorted: a <= b <= c
             return False
         oa = off.take(a)
         seen[oa + b] = True
@@ -331,7 +339,7 @@ def span(ts: _SystemBase, seed: Iterable, cap: int | None = None) -> PointSet:
         new = []
         pts = sorted(current)
         for p in frontier:
-            row = third[p]
+            row = third[p].tolist()  # one row at a time: a capped closure may stop early
             for q in pts:
                 r = row[q]
                 if r >= 0 and r not in current:
@@ -348,26 +356,45 @@ def is_subsystem(ts: _SystemBase, points: Iterable) -> bool:
     return span(ts, pts, cap=len(pts)) == pts
 
 
-def fano_plane(ts: _SystemBase, p: int, pair_a, pair_b) -> tuple | None:
-    """The PG(2, 2) holding the triples {p} + pair_a and {p} + pair_b, as a
-    sorted 7-tuple, or None when the system has none.
+PLANE_STEP = 1 << 14  # plane tests per step; each step's scratch is a few int32 arrays
+_FLAT_MAX_N = 46_340  # largest n with n * n < 2**31, so q * n + r fits int32
 
-    The two triples must be distinct triples of the system.  With
-    pair_a = (q1, r1) and pair_b = (q2, r2), the plane's other points are
-    s = q1q2 = r1r2 and t = q1r2 = r1q2, and st = p.  Those lookups find
-    all seven lines, so every pair of the result is covered inside it.
+
+def fano_planes(ts: _SystemBase, p, q1, r1, q2, r2) -> tuple:
+    """(hit, s, t) for arrays of at most PLANE_STEP pairs of distinct
+    triples {p, q1, r1}, {p, q2, r2}: the indices of the pairs that lie in
+    a PG(2, 2), and its other points s = q1q2 = r1r2 and t = q1r2 = r1q2,
+    with st = p.  These five lookups find all seven lines.  Most pairs
+    fail the first comparison and are dropped before the other three.
     """
-    third = ts.incidence.third
-    (q1, r1), (q2, r2) = pair_a, pair_b
-    s = third[q1][q2]
-    if s < 0 or s != third[r1][r2]:
-        return None
-    t = third[q1][r2]
-    if t < 0 or t != third[r1][q2]:
-        return None
-    if p != third[s][t]:
-        return None
-    return tuple(sorted((p, q1, r1, q2, r2, s, t)))
+    n, flat = ts.n, ts.incidence.third.reshape(-1)
+    wide = np.int64 if n > _FLAT_MAX_N else np.int32
+
+    def third(q, r):
+        return flat.take(q.astype(wide, copy=False) * n + r)
+
+    s = third(q1, q2)
+    hit = np.flatnonzero((s >= 0) & (s == third(r1, r2)))
+    s, p, q1, r1, q2, r2 = (x[hit] for x in (s, p, q1, r1, q2, r2))
+    t = third(q1, r2)  # where t = -1, s * n + t is a cell that t >= 0 masks
+    ok = (t >= 0) & (t == third(r1, q2)) & (third(s, t) == p)
+    return hit[ok], s[ok], t[ok]
+
+
+def pairs_within(keys: np.ndarray) -> Iterator[tuple]:
+    """The index pairs (i, j), i < j, with keys[i] == keys[j], for sorted
+    keys: in order of i then j, at most PLANE_STEP pairs per step."""
+    rows = np.arange(keys.size)
+    later = np.searchsorted(keys, keys, side="right") - rows - 1  # the partners of each row
+    ends = np.cumsum(later)
+    begin = ends - later  # pair k of row i is (i, k - begin[i] + i + 1)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, PLANE_STEP):
+        hi = min(lo + PLANE_STEP, total)
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        step = slice(first, last + 1)  # the rows holding pairs lo..hi-1
+        i = np.repeat(rows[step], np.minimum(ends[step], hi) - np.maximum(begin[step], lo))
+        yield i, np.arange(lo, hi) - begin.take(i) + i + 1
 
 
 def restrict(ts: _SystemBase, points: Iterable) -> tuple:
@@ -446,17 +473,19 @@ def _parse_rows(raw: bytes, start: int, n: int):
     three in-range decimal indices joined by single spaces; else None.
 
     Reads about _READ_BYTES at a time, cut at line ends, into one array
-    with a row per line end.
+    with a row per line.  A last line with no newline gets one appended to
+    a copy of its chunk alone.
     """
-    if len(raw) > start and not raw.endswith(b"\n"):
-        raw += b"\n"
+    end = len(raw)
     width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
-    rows = np.empty((raw.count(b"\n", start), 3), dtype=np.int32)
+    unterminated = end > start and raw[-1:] != b"\n"
+    rows = np.empty((raw.count(b"\n", start) + unterminated, 3), dtype=np.int32)
     values = rows.reshape(-1)  # at most 9 digits each
     done = 0
-    while start < len(raw):
-        stop = raw.find(b"\n", min(start + _READ_BYTES, len(raw)) - 1) + 1
-        buf = np.frombuffer(raw, dtype=np.uint8, count=stop - start, offset=start)
+    while start < end:
+        stop = raw.find(b"\n", min(start + _READ_BYTES, end) - 1) + 1 or end
+        ended = raw[stop - 1 : stop] == b"\n"
+        buf = np.frombuffer(memoryview(raw)[start:stop] if ended else raw[start:stop] + b"\n", "u1")
         start = stop
         seps = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
         if seps.size % 3 or not np.array_equal(

@@ -58,7 +58,7 @@ def enumerate_fano_by_span(ts) -> list:
     systems only.
     """
     found = set()
-    for p, spokes in enumerate(ts.incidence.pairs):
+    for p, spokes in enumerate(ts.incidence.spoke_lists()):
         for (q1, r1), (q2, r2) in combinations(spokes, 2):
             closure = span(ts, {p, q1, r1, q2, r2}, cap=7)
             if len(closure) == 7:

@@ -17,7 +17,7 @@ from stslab import TripleSystem, automorphism_group, base_sts, canonical_form, p
 
 def switches(ts):
     """Every system one cycle switch away from `ts`."""
-    n, third = ts.n, ts.incidence.third
+    n, third = ts.n, ts.incidence.third.tolist()
     for a in range(n):
         for b in range(a + 1, n):
             seen = {a, b, third[a][b]}

@@ -292,6 +292,8 @@ def test_rigid_search_cmd(tmp_path, capsys):
         ("construct boolean --dim 16 --output {tmp}/x.sts", EXIT_VALIDATION),
         ("construct moore --x 1 --y 0 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
         ("classify-fano --x 1 --y 0 --v 3", EXIT_VALIDATION),
+        ("construct moore --x 0 --y 1 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("classify-fano --x 0 --y 1 --v 3", EXIT_VALIDATION),
         ("solve-params --check {tmp}/missing.txt", EXIT_VALIDATION),
         ("verify {tmp}", EXIT_VALIDATION),
         ("construct double --input {tmp}/f.sts --output {tmp}/no/dir/x.sts", EXIT_VALIDATION),
@@ -304,6 +306,7 @@ def test_rigid_search_cmd(tmp_path, capsys):
     ],
     ids=[
         "boolean_dim_0", "boolean_dim_16", "moore_x_in_empty_y", "classify_fano_x_in_empty_y",
+        "moore_one_point_y", "classify_fano_one_point_y",
         "missing_certificate", "verify_directory", "unwritable_output",
         "moore_negative_x", "base_negative_n", "certificate_not_an_int",
         "certificate_unknown_key", "cor46_without_other", "cor47_without_v1",

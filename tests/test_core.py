@@ -473,10 +473,51 @@ def test_incidence_agrees_with_rows(system):
             if (p, q) not in covered:
                 assert third[p][q] == -1  # the diagonal and every uncovered pair
     assert sum(x >= 0 for row in third for x in row) == 6 * system.n_triples
-    assert [len(spokes) for spokes in inc.pairs] == list(system.degrees())
-    for p, spokes in enumerate(inc.pairs):
+    assert [len(spokes) for spokes in inc.spoke_lists()] == list(system.degrees())
+    for p, spokes in enumerate(inc.spoke_lists()):
         for q, r in spokes:
             assert q < r and third[p][q] == third[q][p] == r
+
+
+def _python_incidence(system) -> tuple:
+    """The third-point table and the spokes of each point as Python lists,
+    built by the loop over the rows that the arrays replaced."""
+    third = [[-1] * system.n for _ in range(system.n)]
+    pairs = [[] for _ in range(system.n)]
+    for a, b, c in system.triples.tolist():
+        third[a][b] = third[b][a] = c
+        third[a][c] = third[c][a] = b
+        third[b][c] = third[c][b] = a
+        pairs[a].append([b, c])
+        pairs[b].append([a, c])
+        pairs[c].append([a, b])
+    return third, pairs
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        FANO,
+        cyclic_pstss(4).system,
+        PartialTripleSystem(5, []),
+        random_sts(15, random.Random(3)),
+        moore(MooreInput.build(*embed_subsystem(3, 9), base_sts(7))),
+        PartialTripleSystem(9, [(0, 4, 8), (1, 2, 3), (2, 5, 7)]),
+    ],
+    ids=["fano", "cyclic4", "empty5", "random15", "moore_3_9_7", "sparse9"],
+)
+def test_incidence_arrays_match_python_builder(system):
+    inc = system.incidence
+    third, pairs = _python_incidence(system)
+    assert inc.third.dtype == np.int32 and inc.spokes.dtype == np.int32
+    assert inc.third.tolist() == third
+    assert inc.spoke_lists() == pairs
+    for arr in inc:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        inc.third[0, 0] = 1
+    with pytest.raises(ValueError):
+        inc.third.reshape(-1)[0] = 1  # a view of a read-only array is read-only too
 
 
 def test_array_path_never_builds_incidence(tmp_path):
@@ -653,6 +694,32 @@ def test_read_holds_the_rows_once(tmp_path):
     rows = system.triples.nbytes
     assert peak < size + 2 * rows, (
         f"{peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of file, {rows / 1e6:.1f} MB of rows"
+    )
+
+
+def test_read_without_a_final_newline_copies_one_chunk(tmp_path):
+    """A file whose last line has no newline reads within the traced peak
+    of the same file with one, plus one chunk: only the last chunk is
+    copied to end it, not the whole file."""
+    space = boolean_space(11)
+    system = TripleSystem(space.n, space.triples_array())
+    ended = tmp_path / "ended.sts"
+    write_system(system, ended)
+    bare = tmp_path / "bare.sts"
+    bare.write_bytes(ended.read_bytes()[:-1])
+    peaks = []
+    for path in (ended, bare):
+        tracemalloc.start()
+        try:
+            got = read_system(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got == system
+    size = ended.stat().st_size
+    assert peaks[1] <= peaks[0] + stslab.system._READ_BYTES, (
+        f"{peaks[1] / 1e6:.1f} MB without the newline, {peaks[0] / 1e6:.1f} MB with it, "
+        f"for {size / 1e6:.1f} MB of file"
     )
 
 
@@ -903,6 +970,61 @@ def test_only_the_system_module_validates():
         lambda node: _calls(node, ("validate_sts", "validate_pstss")), skip=("system.py",)
     )
     assert not found, found
+
+
+def _library_functions(match, skip=()) -> set:
+    """module:function for each function of src/stslab, outside the
+    modules named in skip, whose body holds a node that match accepts."""
+    src = Path(__file__).resolve().parents[1] / "src" / "stslab"
+    paths = sorted(p for p in src.glob("*.py") if p.name not in skip)
+    assert paths
+    return {
+        f"{path.name}:{fn.name}"
+        for path in paths
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and any(match(node) for node in ast.walk(fn))
+    }
+
+
+def _is_minus_one(node) -> bool:
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and getattr(node.operand, "value", None) == 1
+    )
+
+
+def _builds_third_table(node) -> bool:
+    """A table of -1 per uncovered pair (np.full(..., -1) or a list
+    comprehension of [-1] * k rows), or an array converted from a table
+    read off .third."""
+    if _calls(node, ("full",)) and len(node.args) > 1 and _is_minus_one(node.args[1]):
+        return True
+    if isinstance(node, ast.ListComp):
+        row = node.elt
+        return (
+            isinstance(row, ast.BinOp)
+            and isinstance(row.op, ast.Mult)
+            and isinstance(row.left, ast.List)
+            and any(_is_minus_one(x) for x in row.left.elts)
+        )
+    return _calls(node, ("array", "asarray", "ascontiguousarray", "tuple", "list")) and any(
+        isinstance(sub, ast.Attribute) and sub.attr == "third"
+        for arg in node.args
+        for sub in ast.walk(arg)
+    )
+
+
+def test_only_the_system_module_builds_the_incidence():
+    """Every closure, plane, predicate and search step reads the one
+    read-only incidence of `system.py`, so no other library module builds
+    or converts a third-point table.  The one exception is `random_sts`,
+    whose table is the hill climber's own state: it changes at every step,
+    before any system exists."""
+    found = _library_functions(_builds_third_table, skip=("system.py",))
+    assert found == {"constructions.py:random_sts"}, found
+    with pytest.raises(ValueError):
+        pg_sts(3).incidence.third[0, 1] = 5
 
 
 def test_no_library_module_reads_rows_through_iter_triples():

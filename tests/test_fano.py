@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,8 @@ from stslab import (
     PartialTripleSystem,
     TripleSystem,
     all_vsf,
+    are_isomorphic,
+    attach_gadgets,
     base_sts,
     bose,
     classify_fano,
@@ -21,14 +24,18 @@ from stslab import (
     enumerate_fano,
     is_pg2_paired,
     is_pg2_pointed,
+    is_pg3_2pointed,
     is_subsystem,
     moore,
     pg_sts,
     recognize_subsystem,
+    restrict,
     yv_subsystem,
 )
 from stslab import fano as fano_module
-from stslab.system import fano_plane
+from stslab.constructions import random_sts
+from stslab.pstss import cyclic_pstss
+from stslab.system import fano_planes
 from fano_reference import _combinations, enumerate_fano_bruteforce, enumerate_fano_by_span
 
 
@@ -159,14 +166,14 @@ def test_enumeration_tests_pairs_of_spokes_above_each_point(make, monkeypatch):
     ts = make()
     calls = 0
 
-    def counted(*args):
+    def counted(system, p, *rest):
         nonlocal calls
-        calls += 1
-        return fano_plane(*args)
+        calls += len(p)  # one plane test per row handed over
+        return fano_planes(system, p, *rest)
 
-    monkeypatch.setattr(fano_module, "fano_plane", counted)
+    monkeypatch.setattr(fano_module, "fano_planes", counted)
     enumerate_fano(ts)
-    pairs = ts.incidence.pairs
+    pairs = ts.incidence.spoke_lists()
     above = [sum(q > p for q, _ in spokes) for p, spokes in enumerate(pairs)]
     assert calls == sum(a * (a - 1) // 2 for a in above)
     assert calls <= 0.25 * sum(len(s) * (len(s) - 1) // 2 for s in pairs)
@@ -181,17 +188,19 @@ def _lines_through(ts, p):
 
 
 def _pointed_by_definition(ts, planes, p):
+    """Every two lines through p lie in one plane: their five points are
+    five of its seven."""
+    fives = {frozenset(five) for plane in planes if p in plane for five in combinations(plane, 5)}
     return all(
-        any(set(la) | set(lb) <= set(plane) for plane in planes)
+        frozenset(la) | frozenset(lb) in fives
         for la, lb in combinations(_lines_through(ts, p), 2)
     )
 
 
 def _paired_by_definition(ts, planes):
-    return all(
-        sum(a in plane and b in plane for plane in planes) >= 2
-        for a, b in combinations(range(ts.n), 2)
-    )
+    """Every two points lie in two planes."""
+    count = Counter(pair for plane in planes for pair in combinations(plane, 2))
+    return all(count[pair] >= 2 for pair in combinations(range(ts.n), 2))
 
 
 @pytest.mark.parametrize(
@@ -201,8 +210,14 @@ def _paired_by_definition(ts, planes):
         (lambda: direct_product(pg_sts(2), pg_sts(2)), 182, [], False),
         (lambda: moore(_inp(1, 7, 3)), 3, [], False),
         (lambda: double(double(base_sts(7))), 155, list(range(31)), True),
+        (lambda: direct_product(pg_sts(3), pg_sts(2)), 2640, [], False),
+        (lambda: bose(27), 0, [], False),
+        (lambda: double(base_sts(13)), 26, [26], False),
     ],
-    ids=["double_bose9", "pg2_x_pg2", "moore_1_7_3", "double_double_7"],
+    ids=[
+        "double_bose9", "pg2_x_pg2", "moore_1_7_3", "double_double_7",
+        "pg3_x_pg2", "bose27", "double_13",
+    ],
 )
 def test_predicates_match_plane_definitions(make, n_planes, pointed, paired):
     ts = make()
@@ -218,6 +233,73 @@ def test_predicates_match_plane_definitions(make, n_planes, pointed, paired):
     verdict = is_pg2_paired(ts)
     assert verdict is _paired_by_definition(ts, planes)
     assert verdict is paired
+
+
+def _closure(third: dict, points: set) -> set:
+    """The points reached from `points` by third-point joins, from a dict
+    of the system's triples."""
+    closed = set(points)
+    while True:
+        more = {third[a, b] for a in closed for b in closed if (a, b) in third} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def _pg3_2pointed_by_definition(ts, p, q):
+    """Any four points including p and q generate a seven-point system
+    (a PG(2, 2)) or a copy of PG(3, 2), told by the isomorphism search."""
+    third = {}
+    for a, b, c in ts.iter_triples():
+        third[a, b] = third[b, a] = c
+        third[a, c] = third[c, a] = b
+        third[b, c] = third[c, b] = a
+    pg3, projective = pg_sts(3), {}
+    others = [r for r in range(ts.n) if r not in (p, q)]
+    for x, y in combinations(others, 2):
+        closed = frozenset(_closure(third, {p, q, x, y}))
+        if len(closed) == 15 and closed not in projective:
+            projective[closed] = are_isomorphic(restrict(ts, closed)[0], pg3).isomorphic
+        if len(closed) != 7 and not projective.get(closed, False):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "make,p,q,verdict",
+    [
+        (lambda: double(double(base_sts(9))), 18, 38, True),
+        (lambda: double(double(base_sts(9))), 0, 38, False),
+        (lambda: random_sts(15, random.Random(0)), 0, 1, False),  # a 15-closure not PG(3, 2)
+        (lambda: bose(27), 0, 1, False),
+        (lambda: double(base_sts(13)), 26, 0, False),
+        (lambda: direct_product(pg_sts(3), pg_sts(2)), 0, 1, False),
+    ],
+    ids=["double_double_9", "double_double_9_off", "random15", "bose27", "double_13", "pg3_x_pg2"],
+)
+def test_pg3_2pointed_matches_definition(make, p, q, verdict):
+    ts = make()
+    assert is_pg3_2pointed(ts, p, q) is verdict
+    assert _pg3_2pointed_by_definition(ts, p, q) is verdict
+
+
+def _without_first_triple(ts):
+    return PartialTripleSystem(ts.n, ts.triples[1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclic_pstss(5).system,
+        lambda: attach_gadgets(PartialTripleSystem(1, [])).system,
+        lambda: _without_first_triple(moore(_inp(1, 7, 3))),
+        lambda: _without_first_triple(pg_sts(3)),
+    ],
+    ids=["cyclic5", "gadgets_on_one_point", "moore_1_7_3_less_a_triple", "pg3_less_a_triple"],
+)
+def test_enumerate_on_partial_systems_matches_bruteforce(make):
+    ts = make()
+    assert enumerate_fano(ts) == sorted(enumerate_fano_bruteforce(ts))
 
 
 # ---------------------------------------------------------------------------

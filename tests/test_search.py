@@ -133,7 +133,7 @@ def test_small_budget_stops_the_seed(monkeypatch):
 def _from_seed(data: _SearchData, marked: tuple) -> list:
     """The fixpoint refined from the seed with every point of `marked`
     individualized at once, each by its rank in `marked`."""
-    n, pairs = data.n, data.inc.pairs
+    n, pairs = data.n, data.spokes
     rank = {p: i for i, p in enumerate(marked)}
     colors = data.seed
 
