@@ -76,29 +76,20 @@ def _node_budget(text: str) -> int:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_outputs(system, args, out: str, names: list | None = None) -> None:
-    write_system(system, out)
+    outputs = {out: write_system(system, out)}
     if names is not None:
-        with open(out + ".map", "w") as fh:
-            for i, name in enumerate(names):
-                fh.write(f"point {i} = {name}\n")
+        text = "".join(f"point {i} = {name}\n" for i, name in enumerate(names)).encode()
+        with open(out + ".map", "wb") as fh:
+            fh.write(text)
+        outputs[out + ".map"] = hashlib.sha256(text).hexdigest()
     manifest = {
         "tool": "stslab",
         "version": __version__,
         "subcommand": args.command,
         "args": {k: v for k, v in vars(args).items() if k not in ("command", "func")},
-        "outputs": {out: _digest(out)},
+        "outputs": outputs,
     }
-    if names is not None:
-        manifest["outputs"][out + ".map"] = _digest(out + ".map")
     with open(out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -403,6 +403,7 @@ class MooreInput:
 
     def __post_init__(self):
         object.__setattr__(self, "x_points", frozenset(self.x_points))
+        object.__setattr__(self, "x_sorted", tuple(sorted(self.x_points)))  # at U-indices 0..|X|-1
         if not is_subsystem(self.y, self.x_points):
             raise ConstructionError("X is not a closed subsystem of Y")
         problems = self.labeling.check(self.y, self.x_points)
@@ -423,7 +424,7 @@ class MooreInput:
 
     def x_index(self) -> dict:
         """Y-point -> U-index for the points of X."""
-        return {p: i for i, p in enumerate(sorted(self.x_points))}
+        return {p: i for i, p in enumerate(self.x_sorted)}
 
     def u_point(self, v: int, a: int) -> int:
         return len(self.x_points) + v * self.m + a
@@ -432,14 +433,13 @@ class MooreInput:
         """U-index -> Y-point of X, or the pair (v, residue)."""
         nx = len(self.x_points)
         if u < nx:
-            return sorted(self.x_points)[u]
-        v, a = divmod(u - nx, self.m)
-        return (v, a)
+            return self.x_sorted[u]
+        return divmod(u - nx, self.m)
 
     def point_names(self) -> list:
         """Sidecar labels: one string per U-point."""
         out = []
-        for p in sorted(self.x_points):
+        for p in self.x_sorted:
             out.append(f"x:{p}")
         for v in range(self.v.n):
             for a in range(self.m):

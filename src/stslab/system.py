@@ -11,6 +11,7 @@ raises InvalidSystemError.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import re
 from dataclasses import dataclass
@@ -23,13 +24,12 @@ PointSet = frozenset  # frozenset[int]; subsets of 0..n-1
 
 
 _KEY_MAX_N = 2_097_151  # largest n with n**3 < 2**63, so row keys fit int64
+_INT32_MAX = np.iinfo(np.int32).max
+_CHUNK = 1 << 17  # rows per step of the one pass over the rows: its scratch is a few MB
 
 
 def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key a*n^2 + b*n + c per row; keys order like the rows.
-
-    Needs n <= _KEY_MAX_N.
-    """
+    """One int64 key a*n^2 + b*n + c per row, n <= _KEY_MAX_N; keys order like the rows."""
     keys = rows[:, 0].astype(np.int64)
     keys *= n
     keys += rows[:, 1]
@@ -38,15 +38,15 @@ def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _normalize(n: int, triples) -> np.ndarray:
-    """Read-only int32 (m, 3) rows, each sorted, in lexicographic order.
+def _normal_form(n: int, triples) -> tuple:
+    """(rows, distinct): the rows as read-only int32 (m, 3), each sorted,
+    in lexicographic order, and whether their 3m pairs are distinct.
 
-    Rows are sorted only when one is out of order, and the row order is
-    sorted only when the keys are not already non-decreasing; both checks
-    run a chunk of rows at a time.  An array already in this form is
-    adopted, not copied, when it is read-only and owns its data: whoever
-    made it has handed it over.  Any other array the caller passed is
-    copied, so a system never shares a writable buffer.
+    The pairs do not depend on the row order, so the rows are sorted after
+    the pass that checks them, and only if it met one out of order.  A
+    read-only array in normal form that owns its data is adopted (its maker
+    handed it over); any other array passed in is copied, so a system never
+    shares a writable buffer.  Entries not int32 are checked before the cast.
     """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
@@ -57,44 +57,106 @@ def _normalize(n: int, triples) -> np.ndarray:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("triples must be an (m, 3) array")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError("triple entry out of range 0..n-1")
+    if arr.dtype != np.int32 and arr.size:
+        top = arr.max()
+        if arr.min() < 0 or top >= n:
+            raise ValueError("triple entry out of range 0..n-1")
+        if top > _INT32_MAX:
+            raise ValueError(f"triple entry {top} is above the int32 maximum {_INT32_MAX}")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
-    if any((c[:, 0] > c[:, 1]).any() or (c[:, 1] > c[:, 2]).any() for c in _chunks(arr)):
-        arr = np.sort(arr, axis=1)
-    if n > _KEY_MAX_N:
-        arr = arr[np.lexsort((arr[:, 2], arr[:, 0].astype(np.int64) * n + arr[:, 1]))]
-    elif _out_of_order(arr, n):
-        keys = _triple_keys(arr, n)
-        keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
-        arr = np.empty_like(arr)
-        arr[:, 2] = keys % n
-        keys //= n
-        arr[:, 1] = keys % n
-        keys //= n
-        arr[:, 0] = keys
-    handed_over = triples.flags.owndata and not triples.flags.writeable
-    if np.may_share_memory(arr, triples) and not handed_over:
+    ordered, distinct = _scan_rows(arr, n)
+    if not ordered:
+        arr = _sorted_rows(arr, n)
+    elif np.may_share_memory(arr, triples) and not (
+        triples.flags.owndata and not triples.flags.writeable
+    ):
         arr = arr.copy()
     arr.setflags(write=False)
-    return arr
+    if distinct is None:
+        codes = np.sort(_pair_codes(arr, n))
+        distinct = not (codes[1:] == codes[:-1]).any()
+    return arr, distinct
 
 
-_CHUNK = 1 << 18  # rows per step of the order checks and the pair scan
+def _scan_rows(rows: np.ndarray, n: int) -> tuple:
+    """(ordered, distinct) from one pass over int32 rows, a chunk at a time
+    on contiguous copies of its columns: sort them by a min/max network if
+    a row is out of order, check their min and max lie in 0..n-1 and each
+    key against the row before's, and mark each pair x < y at its upper-
+    triangle index (_triangle_offsets) in a map of n(n-1)/2 bytes.  A row
+    with a repeated point has no index: its chunk settles `distinct`
+    unmarked.  distinct is None when the codes a*n+b take fewer bytes than
+    the map: the caller sorts them."""
+    cells = n * (n - 1) // 2
+    seen = None
+    if 3 * rows.shape[0] * (4 if n <= 65535 else 8) >= cells:
+        seen, off = np.zeros(cells, dtype=bool), _triangle_offsets(n)
+    distinct, last = True, -1
+    ordered = n <= _KEY_MAX_N  # larger keys do not fit int64: such rows are always sorted
+    for lo in range(0, rows.shape[0], _CHUNK):
+        cols = rows[lo : lo + _CHUNK].T.copy()
+        a, b, c = cols
+        if (a > b).any() or (b > c).any():
+            ordered = False
+            _sort_columns(cols)
+        if a.min() < 0 or c.max() >= n:
+            raise ValueError("triple entry out of range 0..n-1")
+        if ordered:
+            keys = _triple_keys(cols.T, n)
+            ordered = keys[0] >= last and not (keys[1:] < keys[:-1]).any()
+            last = keys[-1]
+        if seen is not None and distinct:
+            distinct = not ((a == b).any() or (b == c).any())  # sorted: a <= b <= c
+            if distinct:
+                oa = off.take(a)
+                seen[oa + b] = True
+                oa += c
+                seen[oa] = True
+                ob = off.take(b)
+                ob += c
+                seen[ob] = True
+    if seen is None:
+        return ordered, None
+    return ordered, distinct and int(np.count_nonzero(seen)) == 3 * rows.shape[0]
+
+
+def _normalize(n: int, triples) -> np.ndarray:
+    """The rows of _normal_form alone."""
+    return _normal_form(n, triples)[0]
 
 
 def _chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
     return (rows[lo : lo + _CHUNK] for lo in range(0, rows.shape[0], _CHUNK))
 
 
-def _out_of_order(rows: np.ndarray, n: int) -> bool:
-    """Whether a row's key is below the key of the row before it; each
-    chunk's keys start at the last row of the chunk before."""
-    for lo in range(0, rows.shape[0] - 1, _CHUNK):
-        keys = _triple_keys(rows[lo : lo + _CHUNK + 1], n)
-        if (keys[1:] < keys[:-1]).any():
-            return True
-    return False
+def _sort_columns(cols: np.ndarray) -> None:
+    """Sort each row's three entries in place by a min/max network; the
+    rows of cols, (3, k), hold the first, second and third entries."""
+    low = np.empty_like(cols[0])
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        np.minimum(cols[i], cols[j], out=low)
+        np.maximum(cols[i], cols[j], out=cols[j])
+        cols[i] = low
+
+
+def _sorted_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """A new array of the rows, each sorted by the network, in
+    lexicographic order: by their int64 keys, or for n above _KEY_MAX_N by
+    (a*n + b, c)."""
+    cols = rows.T.copy()
+    _sort_columns(cols)
+    if n > _KEY_MAX_N:
+        order = np.lexsort((cols[2], cols[0].astype(np.int64) * n + cols[1]))
+        return np.ascontiguousarray(cols.T[order])
+    keys = _triple_keys(cols.T, n)
+    del cols
+    keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
+    out = np.empty((keys.size, 3), dtype=np.int32)
+    for j in (2, 1):
+        out[:, j] = keys % n
+        keys //= n
+    out[:, 0] = keys
+    return out
 
 
 class VerificationError(RuntimeError):
@@ -134,10 +196,11 @@ class _SystemBase:
     triples: np.ndarray
 
     def __post_init__(self):
-        self.triples = _normalize(self.n, self.triples)
-        violations = self._violations()
-        if violations:
-            raise InvalidSystemError(violations)
+        self.triples, distinct = _normal_form(self.n, self.triples)
+        size = _size_violations(self.n, self.n_triples) if isinstance(self, TripleSystem) else []
+        if size or not distinct:
+            structural = _structural_violations(self) + size
+            raise InvalidSystemError(structural or _duplicate_pair_violations(self))
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable):
@@ -198,25 +261,10 @@ class _SystemBase:
 class TripleSystem(_SystemBase):
     """A Steiner triple system: every pair of points in exactly one triple."""
 
-    def _violations(self) -> list:
-        """Empty when n(n-1)/6 triples with distinct pair codes cover all
-        pairs at an admissible n; else the violations, size rules included."""
-        size = _size_violations(self.n, self.n_triples)
-        if not size and _scan_pair_coverage(self):
-            return []
-        return _structural_violations(self) + size or _duplicate_pair_violations(self)
-
 
 @dataclass(eq=False)
 class PartialTripleSystem(_SystemBase):
     """A partial system: every pair of points in at most one triple."""
-
-    def _violations(self) -> list:
-        """Empty when the pair codes are distinct; the violations are named
-        only when they are not."""
-        if _scan_pair_coverage(self):
-            return []
-        return _structural_violations(self) or _duplicate_pair_violations(self)
 
 
 @dataclass(frozen=True)
@@ -231,11 +279,8 @@ class ValidationReport:
 def _pair_codes(triples: np.ndarray, n: int) -> np.ndarray:
     """Codes a*n+b (a < b) for the three pairs of every triple, concatenated."""
     dtype = np.uint32 if n <= 65535 else np.int64
-    a = triples[:, 0].astype(dtype)
-    b = triples[:, 1].astype(dtype)
-    c = triples[:, 2].astype(dtype)
-    nn = dtype(n) if dtype is np.uint32 else n
-    return np.concatenate([a * nn + b, a * nn + c, b * nn + c])
+    a, b, c = triples.T.astype(dtype)
+    return np.concatenate([a * dtype(n) + b, a * dtype(n) + c, b * dtype(n) + c])
 
 
 def _triangle_offsets(n: int) -> np.ndarray:
@@ -245,49 +290,15 @@ def _triangle_offsets(n: int) -> np.ndarray:
     return x * (2 * n - 3 - x) // 2 - 1
 
 
-def _scan_pair_coverage(ts: _SystemBase) -> bool:
-    """Whether the 3m pairs the rows list are distinct, which a row with a
-    repeated point never is (it lists one pair twice).
-
-    Marks each pair x < y at its upper-triangle index (_triangle_offsets)
-    in a boolean map of n(n-1)/2 entries, a chunk of rows at a time, and
-    counts the marks; a chunk holding a row with a repeated point, which
-    has no index, settles the answer before any of it is marked.  Sorts
-    the codes a*n+b instead when they take fewer bytes than the map.
-    """
-    n = ts.n
-    m = ts.n_triples
-    cells = n * (n - 1) // 2
-    if 3 * m * (4 if n <= 65535 else 8) < cells:
-        codes = np.sort(_pair_codes(ts.triples, n))
-        return not (codes[1:] == codes[:-1]).any()
-    off = _triangle_offsets(n)
-    seen = np.zeros(cells, dtype=bool)
-    for rows in _chunks(ts.triples):
-        a, b, c = rows.T.copy()  # contiguous columns
-        if (a == b).any() or (b == c).any():  # rows are sorted: a <= b <= c
-            return False
-        oa = off.take(a)
-        seen[oa + b] = True
-        oa += c
-        seen[oa] = True
-        ob = off.take(b)
-        ob += c
-        seen[ob] = True
-    return int(np.count_nonzero(seen)) == 3 * m
-
-
 def _structural_violations(ts: _SystemBase) -> list:
     bad = []
     rows = ts.triples
-    if rows.size:
-        same = (rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
-        for i in np.flatnonzero(same)[:20]:
-            bad.append(f"triple {tuple(int(x) for x in rows[i])} has repeated points")
-        if rows.shape[0] > 1:
-            dup = np.all(rows[1:] == rows[:-1], axis=1)
-            for i in np.flatnonzero(dup)[:20]:
-                bad.append(f"triple {tuple(int(x) for x in rows[i])} listed twice")
+    same = (rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
+    for i in np.flatnonzero(same)[:20]:
+        bad.append(f"triple {tuple(int(x) for x in rows[i])} has repeated points")
+    dup = np.all(rows[1:] == rows[:-1], axis=1)
+    for i in np.flatnonzero(dup)[:20]:
+        bad.append(f"triple {tuple(int(x) for x in rows[i])} listed twice")
     return bad
 
 
@@ -422,39 +433,47 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
 _WRITE_ROWS = 1 << 18
 
 
-def _decimal_cells(values: np.ndarray, width: int) -> tuple:
-    """Per value: width + 1 bytes holding its decimal digits, a space and
-    zero padding; and its digit count."""
+def _decimal_cells(values: np.ndarray, width: int) -> np.ndarray:
+    """Per entry of values: width + 1 bytes holding its decimal digits, a
+    space (a newline after the last entry of a row) and zero padding."""
     cells = np.zeros(values.shape + (width + 1,), dtype=np.uint8)
     cells[..., :width] = values.astype(f"S{width}").view(np.uint8).reshape(values.shape + (width,))
-    lengths = np.count_nonzero(cells, axis=-1)
-    np.put_along_axis(cells, lengths[..., None], ord(" "), axis=-1)
-    return cells, lengths
+    ends = np.count_nonzero(cells, axis=-1)[..., None]
+    np.put_along_axis(cells, ends, ord(" "), axis=-1)
+    np.put_along_axis(cells[..., -1, :], ends[..., -1, :], ord("\n"), axis=-1)
+    return cells
 
 
-def write_system(ts: _SystemBase, path) -> None:
-    """Write the header line, then one line "a b c" per row.
+def write_system(ts: _SystemBase, path) -> str:
+    """Write the header line, then one line "a b c" per row; return the
+    SHA-256 hex digest of the bytes written.
 
-    Rows are written a chunk at a time.  Their bytes are gathered from a
-    table of the decimal digits of 0..p, p the largest point in a triple,
-    unless that table would hold more entries than the rows do.
+    Rows are written a chunk at a time, as their cells' nonzero bytes.  The
+    cells of a chunk are taken one item per entry from a table holding
+    each of 0..p, p the largest point in a triple, as "p " at 2p and "p\\n"
+    at 2p + 1, unless that table would hold more entries than the rows do.
     """
     kind = "sts" if isinstance(ts, TripleSystem) else "pstss"
     m = ts.n_triples
     size = int(ts.triples.max()) + 1 if m else 0
     width = len(str(max(size - 1, 0)))
-    table = _decimal_cells(np.arange(size), width) if size <= 3 * m else None
-    column = np.arange(width + 1)
+    if size <= 3 * m:
+        pairs = np.arange(size).repeat(2).reshape(size, 2)
+        tokens = _decimal_cells(pairs, width).view(f"V{width + 1}").reshape(2 * size)
+    head = f"{kind} {ts.n}\n".encode()
+    digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
-        fh.write(f"{kind} {ts.n}\n".encode())
+        fh.write(head)
         for lo in range(0, m, _WRITE_ROWS):
             rows = ts.triples[lo : lo + _WRITE_ROWS]
-            if table is None:
-                cells, ends = _decimal_cells(rows, width)
+            if size > 3 * m:
+                cells = _decimal_cells(rows, width)
             else:
-                cells, ends = table[0][rows], table[1][rows]
-            cells[np.arange(rows.shape[0]), 2, ends[:, 2]] = ord("\n")
-            fh.write(cells[column <= ends[..., None]].tobytes())
+                cells = tokens.take(rows * 2 + (0, 0, 1)).view(np.uint8)
+            lines = cells[cells != 0].tobytes()
+            digest.update(lines)
+            fh.write(lines)
+    return digest.hexdigest()
 
 
 class FormatError(ValueError):
@@ -535,7 +554,7 @@ def read_system(path):
     if raw[cut : cut + 1] == b"\n" and raw.startswith(header.encode()):
         rows = _parse_rows(raw, cut + 1, n)
     if rows is None:  # the line parser, whose text wrapper lives for the loop alone
-        rows = []
+        rows, top = [], min(n, _INT32_MAX + 1)  # entries must fit int32
         for line_no, line in enumerate(
             io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace"), start=1
         ):
@@ -548,8 +567,8 @@ def read_system(path):
                 t = tuple(int(f) for f in fields)
             except ValueError:
                 raise FormatError(path, line_no, "non-integer index") from None
-            if any(p < 0 or p >= n for p in t):
-                raise FormatError(path, line_no, f"index out of range 0..{n - 1}")
+            if any(p < 0 or p >= top for p in t):
+                raise FormatError(path, line_no, f"index out of range 0..{top - 1}")
             rows.append(t)
     del raw
     cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem

@@ -52,6 +52,15 @@ def test_construct_moore(tmp_path):
     assert mapping.startswith("point 0 = ")
 
 
+def test_manifest_digests_match_the_files_read_back(tmp_path):
+    out = tmp_path / "u.sts"
+    argv = ("construct", "moore", "--x", "1", "--y", "7", "--v", "3", "--output", str(out))
+    assert _run(*argv) == EXIT_OK
+    outputs = json.loads((tmp_path / "u.sts.manifest.json").read_text())["outputs"]
+    files = (out, tmp_path / "u.sts.map")
+    assert outputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
 def test_construct_double_and_product(tmp_path):
     a = tmp_path / "a.sts"
     _run("construct", "base", "--n", "7", "--output", str(a))

@@ -110,10 +110,10 @@ def test_valid_systems_never_run_the_diagnostics(monkeypatch):
     systems = (pg_sts(3), product, replaced)
     partial = cyclic_pstss(5).system
 
-    def rescan(ts):
+    def rescan(*args):
         raise AssertionError("a built system was scanned again")
 
-    monkeypatch.setattr(stslab.system, "_scan_pair_coverage", rescan)
+    monkeypatch.setattr(stslab.system, "_normal_form", rescan)
     for ts in systems:
         assert validate_sts(ts) == stslab.system.ValidationReport(True)
     assert validate_pstss(partial) == stslab.system.ValidationReport(True)
@@ -290,7 +290,7 @@ def test_scan_of_the_switched_space_stays_below_the_full_map():
     system = replace_triples(boolean_space(13), cyclic_pstss(6).system).system
     tracemalloc.start()
     try:
-        distinct = stslab.system._scan_pair_coverage(system)
+        _, distinct = stslab.system._normal_form(system.n, system.triples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -643,6 +643,48 @@ def test_normalize_copies_what_it_cannot_adopt():
         assert not np.shares_memory(got, given_rows)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_one_pass_at_chunk_edges_matches_the_oracles(monkeypatch, chunk):
+    """Each fault in the one pass over the rows, at every chunk edge: the
+    range check reads the columns' min and max, not the chunk's first
+    entry, and a chunk's faults are found after an earlier chunk's."""
+    monkeypatch.setattr(stslab.system, "_CHUNK", chunk)
+    n, rows = 9, [tuple(t) for t in base_sts(9).triples.tolist()]  # 12 rows
+    assert 3 * len(rows) * 4 >= n * (n - 1) // 2  # the map side of the pass
+    a, b, c = rows[-1]
+    refused = {
+        "negative entry, not first, in a disordered chunk": (10, [(5, 6, 7), (-1, 2, 3)]),
+        "entry n in the last chunk": (n, rows[:-2] + [(0, 1, n), rows[-1]]),
+    }
+    for name, (size, case) in refused.items():
+        with pytest.raises(ValueError) as want:
+            _lexsort_normalize(size, case)
+        for cls in (PartialTripleSystem, TripleSystem):
+            with pytest.raises(ValueError) as got:
+                cls(size, np.array(case, dtype=np.int32))
+            assert str(got.value) == str(want.value), name
+    built = {
+        "unsorted row in the last chunk": rows[:-1] + [(c, b, a)],
+        "repeated point after a disordered chunk": [rows[1], rows[0], *rows[2:-1], (a, a, c)],
+    }
+    for name, case in built.items():
+        given = np.array(case, dtype=np.int32)
+        assert np.array_equal(_normalize(n, given), _lexsort_normalize(n, case)), name
+        _check_against_reference(n, given)
+
+
+def test_entries_above_the_int32_range_are_refused(tmp_path):
+    """A point at or above 2**31 would wrap to a negative int32."""
+    n = 3_000_000_000
+    with pytest.raises(ValueError, match="int32"):
+        PartialTripleSystem(n, [(0, 1, 2_500_000_000)])
+    assert PartialTripleSystem(n, [(0, 2**31 - 1, 1)]).triples.tolist() == [[0, 1, 2**31 - 1]]
+    path = tmp_path / "wide.pstss"
+    path.write_text(f"pstss {n}\n0 1 2500000000\n")
+    with pytest.raises(FormatError, match="out of range"):
+        read_system(path)
+
+
 def _fstring_write(ts, path):
     """The per-row f-string writer the digit-table writer replaced."""
     kind = "sts" if isinstance(ts, TripleSystem) else "pstss"
@@ -664,6 +706,8 @@ def _fstring_write(ts, path):
         PartialTripleSystem(100, [(0, 9, 99), (10, 11, 98), (1, 2, 3)]),
         PartialTripleSystem(101, [(9, 10, 100), (0, 99, 98), (1, 2, 3)]),
         base_sts(13),
+        # the digit table with 6-digit points: 0..100,001 is 3m entries
+        PartialTripleSystem(100_002, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(33_334)]),
     ],
     ids=lambda s: f"{type(s).__name__}-{s.n}-{s.n_triples}",
 )
