@@ -16,12 +16,14 @@ from itertools import permutations
 
 import numpy as np
 
+from .pstss import MAX_GROUND, BooleanSpace
 from .search import automorphism_group
 from .system import (
     PLANE_STEP,
     PointSet,
     TripleSystem,
     VerificationError,
+    _admissible,
     fano_planes,
     is_subsystem,
     pairs_within,
@@ -31,10 +33,6 @@ from .system import (
 
 class ConstructionError(ValueError):
     pass
-
-
-def _admissible(n: int) -> bool:
-    return n == 0 or n > 0 and n % 6 in (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +93,6 @@ def base_sts(n: int) -> TripleSystem:
     """Some STS(n) for any admissible n, by the cheapest generator."""
     if n in (0, 1):
         return TripleSystem.from_triples(n, [])
-    if n == 3:
-        return TripleSystem.from_triples(3, [(0, 1, 2)])
     if n % 6 == 3:
         return bose(n)
     if n % 6 == 1:
@@ -105,17 +101,11 @@ def base_sts(n: int) -> TripleSystem:
 
 
 def pg_sts(d: int) -> TripleSystem:
-    """Points and lines of the projective space of dimension d over GF(2)."""
-    if d < 1:
-        raise ConstructionError("dimension must be >= 1")
-    n = (1 << (d + 1)) - 1
-    triples = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            c = a ^ b
-            if c > b:
-                triples.append((a - 1, b - 1, c - 1))
-    return TripleSystem.from_triples(n, triples)
+    """Points and lines of the projective space of dimension d over GF(2):
+    the Boolean space on d + 1 elements, point i the vector i + 1."""
+    if not 1 <= d <= MAX_GROUND - 1:
+        raise ConstructionError(f"dimension {d} is outside 1..{MAX_GROUND - 1}")
+    return BooleanSpace(d + 1).system()
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +160,8 @@ def _spokes_in_planes(ts, keep) -> bool:
 
 def is_pg2_pointed(ts: TripleSystem, p: int) -> bool:
     """Any two triples through p generate a 7-point subsystem."""
+    if not 0 <= p < ts.n:
+        raise ValueError(f"point {p} is outside 0..{ts.n - 1}")
     return _spokes_in_planes(ts, slice(ts.incidence.start[p], ts.incidence.start[p + 1]))
 
 
@@ -189,6 +181,8 @@ def is_pg3_2pointed(ts: TripleSystem, p: int, q: int) -> bool:
     """
     if ts.n <= 7:
         raise ConstructionError("PG(3,2)-2-pointedness needs more than 7 points")
+    if p == q or not (0 <= p < ts.n and 0 <= q < ts.n):
+        raise ValueError(f"p, q must be two distinct points of 0..{ts.n - 1}, got {p}, {q}")
     others = [r for r in range(ts.n) if r not in (p, q)]
     near = [set() for _ in range(ts.n)]  # r -> points sharing a good closure with r
     for i, x in enumerate(others):

@@ -106,26 +106,18 @@ class GadgetQ:
 
 
 def build_qr(r: int) -> GadgetQ:
-    """Gadget with component sizes 2r+4 and 2r+6 on 4r+10 points."""
+    """Gadget with component sizes 2r+4 and 2r+6 on 4r+10 points: two
+    cycles sharing z = 0 (point i > 0 of the second at 2r+3+i), and the
+    pendant triple {2, 2r+5, zp = 4r+9}."""
     if r < 1:
         raise PstssError(f"gadget parameter must be >= 1, got {r}")
     n1, n2 = 2 * r + 4, 2 * r + 6
-    # component 1 on points 0..n1-1 with z = 0
-    c1 = [tuple(sorted((2 * j, 2 * j + 1, (2 * j + 2) % n1))) for j in range(n1 // 2)]
-    # component 2 reuses z = 0 and fresh points n1..n1+n2-2
-    off = n1 - 1
-
-    def p2(i: int) -> int:
-        return 0 if i == 0 else off + i
-
-    c2 = [
-        tuple(sorted((p2(2 * j), p2(2 * j + 1), p2((2 * j + 2) % n2))))
-        for j in range(n2 // 2)
-    ]
-    zp = off + n2  # = 4r + 9, the pendant point
-    extra = tuple(sorted((2, zp, p2(2))))
-    triples = c1 + c2 + [extra]
-    system = PartialTripleSystem.from_triples(4 * r + 10, triples)
+    c1 = cyclic_pstss(n1 // 2).system.triples
+    c2 = cyclic_pstss(n2 // 2).system.triples
+    c2 = np.where(c2 == 0, 0, c2 + (n1 - 1))
+    zp = n1 + n2 - 1
+    extra = np.array([[2, n1 + 1, zp]], dtype=np.int32)
+    system = PartialTripleSystem(4 * r + 10, np.concatenate([c1, c2, extra]))
     return GadgetQ(r=r, system=system, z=0, zp=zp)
 
 
@@ -217,7 +209,9 @@ class BooleanSpace:
         return out
 
     def system(self) -> TripleSystem:
-        return TripleSystem(self.n, self.triples_array())
+        rows = self.triples_array()
+        rows.setflags(write=False)  # handed over: the system adopts it
+        return TripleSystem(self.n, rows)
 
 
 boolean_space = BooleanSpace
@@ -388,10 +382,12 @@ def reconstruct_line(rep: ReplacedSystem, x: int, y: int) -> frozenset:
     distinct ones; their common part is the line.  The samples are drawn
     from a generator seeded by x and y alone, so the answer is reproducible.
     """
+    n = rep.system.n
     if x == y:
         raise PstssError("need two distinct points")
+    if not (0 <= x < n and 0 <= y < n):
+        raise PstssError(f"line points must lie in 0..{n - 1}, got {x}, {y}")
     rng = random.Random(f"0,{x},{y}")
-    n = rep.system.n
     found: dict = {}
     tried = 0
     while tried < _LINE_SAMPLES:

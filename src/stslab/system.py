@@ -309,11 +309,16 @@ def _duplicate_pair_violations(ts: _SystemBase) -> list:
     return [f"pair {divmod(int(code), ts.n)} covered twice" for code in dupes]
 
 
+def _admissible(n: int) -> bool:
+    """Whether some STS has n points: n = 0, or n > 0 with n = 1 or 3 mod 6."""
+    return n == 0 or n > 0 and n % 6 in (1, 3)
+
+
 def _size_violations(n: int, m: int) -> list:
     if n in (0, 1):
         return [f"degenerate system on {n} points must have no triples"] if m else []
     bad = []
-    if n % 6 not in (1, 3):
+    if not _admissible(n):
         bad.append(f"{n} points is inadmissible (need n = 1 or 3 mod 6)")
     if m != n * (n - 1) // 6:
         bad.append(f"triple count {m}, expected {n * (n - 1) // 6}")

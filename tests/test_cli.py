@@ -284,6 +284,13 @@ def test_embed_pstss_theorem13_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_pg_past_the_limit_names_it(tmp_path, capsys):
+    out = tmp_path / "x.sts"
+    assert _run("construct", "pg", "--dim", "15", "--output", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: dimension 15 is outside 1..14\n"
+    assert not out.exists()
+
+
 def test_rigid_search_cmd(tmp_path, capsys):
     out = tmp_path / "r.sts"
     assert _run("rigid-search", "--n", "15", "--output", str(out)) == EXIT_OK
@@ -299,6 +306,8 @@ def test_rigid_search_cmd(tmp_path, capsys):
     [
         ("construct boolean --dim 0 --output {tmp}/x.sts", EXIT_VALIDATION),
         ("construct boolean --dim 16 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("construct pg --dim 0 --output {tmp}/x.sts", EXIT_VALIDATION),
+        ("construct pg --dim 15 --output {tmp}/x.sts", EXIT_VALIDATION),
         ("construct moore --x 1 --y 0 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
         ("classify-fano --x 1 --y 0 --v 3", EXIT_VALIDATION),
         ("construct moore --x 0 --y 1 --v 3 --output {tmp}/x.sts", EXIT_VALIDATION),
@@ -314,7 +323,8 @@ def test_rigid_search_cmd(tmp_path, capsys):
         ("embed-pstss --mode cor47 --input {tmp}/f.sts --output {tmp}/x.pstss", EXIT_USAGE),
     ],
     ids=[
-        "boolean_dim_0", "boolean_dim_16", "moore_x_in_empty_y", "classify_fano_x_in_empty_y",
+        "boolean_dim_0", "boolean_dim_16", "pg_dim_0", "pg_dim_15",
+        "moore_x_in_empty_y", "classify_fano_x_in_empty_y",
         "moore_one_point_y", "classify_fano_one_point_y",
         "missing_certificate", "verify_directory", "unwritable_output",
         "moore_negative_x", "base_negative_n", "certificate_not_an_int",

@@ -91,6 +91,36 @@ def test_pg_triples_are_xor_lines():
         assert (a + 1) ^ (b + 1) == (c + 1)
 
 
+def _pg_loop(d: int) -> list:
+    """The lines {a, b, a xor b} of PG(d, 2) as (mask - 1) rows, a < b <
+    a xor b, by the double loop over the nonzero vectors."""
+    n = (1 << (d + 1)) - 1
+    rows = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            c = a ^ b
+            if c > b:
+                rows.append([a - 1, b - 1, c - 1])
+    return rows
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pg_sts_matches_the_xor_loop(d):
+    ts = pg_sts(d)
+    assert ts.n == 2 ** (d + 1) - 1
+    assert ts.triples.tolist() == _pg_loop(d)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 15, 64])
+def test_pg_sts_dimension_is_checked_before_building(d):
+    with pytest.raises(ConstructionError, match=rf"dimension {d} is outside 1\.\.14"):
+        pg_sts(d)
+
+
+def test_base_sts_3_is_bose_3():
+    assert base_sts(3) == bose(3) == TripleSystem.from_triples(3, [(0, 1, 2)])
+
+
 # ---------------------------------------------------------------------------
 # doubling and products
 
@@ -119,6 +149,23 @@ def test_pg2_pointed_fails_on_bose9():
     # STS(9) has no 7-point subsystem at all
     ts = bose(9)
     assert not any(is_pg2_pointed(ts, p) for p in range(ts.n))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_pg2_pointed(bose(9), -1),
+        lambda: is_pg2_pointed(pg_sts(3), 15),
+        lambda: is_pg3_2pointed(pg_sts(3), 3, 3),
+        lambda: is_pg3_2pointed(pg_sts(3), 0, 15),
+        lambda: is_pg3_2pointed(pg_sts(3), -1, 0),
+    ],
+    ids=["pg2_negative", "pg2_past_n", "pg3_same_point", "pg3_past_n", "pg3_negative"],
+)
+def test_pointedness_predicates_check_their_points(call):
+    # unchecked, -1 cuts an empty spoke range, which passes vacuously: bose(9) has no plane
+    with pytest.raises(ValueError, match="outside|distinct"):
+        call()
 
 
 def test_pg3_2pointed_on_double_double():

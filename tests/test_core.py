@@ -1071,6 +1071,19 @@ def test_only_the_system_module_builds_the_incidence():
         pg_sts(3).incidence.third[0, 1] = 5
 
 
+def _evaluates_xor(node) -> bool:
+    return (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor)
+    ) or _calls(node, ("bitwise_xor",))
+
+
+def test_only_the_pstss_module_evaluates_xor():
+    """The xor line rule of the binary projective spaces lives in
+    `pstss.py`: `pg_sts` takes its lines from the Boolean space."""
+    found = _library_functions(_evaluates_xor, skip=("pstss.py",))
+    assert not found, found
+
+
 def test_no_library_module_reads_rows_through_iter_triples():
     """Constructions relabel the triples array by gathers, and the loops
     that remain read triples.tolist() once; iter_triples is for users."""

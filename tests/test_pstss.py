@@ -83,6 +83,33 @@ def test_gadget_anchor_degree():
     assert int(degs[q.zp]) == 1
 
 
+def _build_qr_comprehensions(r: int) -> tuple:
+    """(triples, zp) of the gadget with both cycles written out: component
+    1 on 0..n1-1 with z = 0, component 2 on z and n1..n1+n2-2, then the
+    pendant triple through point 2 of each."""
+    n1, n2 = 2 * r + 4, 2 * r + 6
+    c1 = [tuple(sorted((2 * j, 2 * j + 1, (2 * j + 2) % n1))) for j in range(n1 // 2)]
+    off = n1 - 1
+
+    def p2(i: int) -> int:
+        return 0 if i == 0 else off + i
+
+    c2 = [
+        tuple(sorted((p2(2 * j), p2(2 * j + 1), p2((2 * j + 2) % n2))))
+        for j in range(n2 // 2)
+    ]
+    zp = off + n2
+    return c1 + c2 + [tuple(sorted((2, zp, p2(2))))], zp
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_build_qr_matches_the_comprehensions(r):
+    triples, zp = _build_qr_comprehensions(r)
+    q = build_qr(r)
+    assert q.system == PartialTripleSystem.from_triples(4 * r + 10, triples)
+    assert (q.z, q.zp) == (0, zp)
+
+
 def test_attach_sizes_and_aut():
     for t in (3, 4):
         base = cyclic_pstss(t).system
@@ -168,6 +195,20 @@ def _swap_in_place_reference(n_prime, vprime):
     return _lexsort_normalize(space.n, rows)
 
 
+def test_boolean_space_system_adopts_its_rows():
+    """system() hands its fresh rows to the constructor, which keeps them:
+    the peak is the rows, the pair scan's map and one chunk's scratch."""
+    space = boolean_space(12)
+    tracemalloc.start()
+    try:
+        rows = space.system().triples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.flags.owndata and not rows.flags.writeable
+    assert peak < 1.75 * rows.nbytes, f"{peak / 1e6:.1f} MB for {rows.nbytes / 1e6:.1f} MB of rows"
+
+
 @pytest.mark.parametrize(
     "n_prime,vprime",
     [
@@ -249,6 +290,14 @@ def test_reconstruct_line_matches_xor():
         line = reconstruct_line(rep, x, y)
         z = ((x + 1) ^ (y + 1)) - 1
         assert line == frozenset({x, y, z})
+
+
+@pytest.mark.parametrize("x,y", [(5, 63), (5, 200), (63, 5), (-1, 5)])
+def test_reconstruct_line_rejects_points_outside_the_system(x, y):
+    # the xor rule has no bound: unchecked, (5, 63) gives the line {5, 63, 69}
+    rep = replace_triples(boolean_space(6), cyclic_pstss(3).system)
+    with pytest.raises(PstssError, match=r"0\.\.62"):
+        reconstruct_line(rep, x, y)
 
 
 def test_recover_vprime_exact():
