@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 search
 budget exceeded.  `main` alone maps errors to codes: a library error
-about the input, or a file that cannot be read or written, prints one
-`error:` line and exits 1, and a bad `STSLAB_NODE_BUDGET` exits 2; any
-other error is a fault and surfaces as a traceback.  Every
-file-producing command also writes a sidecar point-name map
-(`<output>.map`) and a JSON run manifest (`<output>.manifest.json`) so
-runs are reproducible byte for byte.
+about the input, a file that cannot be read or written, or running out of
+memory prints one `error:` line and exits 1, and a bad
+`STSLAB_NODE_BUDGET` exits 2; any other error is a fault and surfaces as
+a traceback.  Every file-producing command also writes a sidecar
+point-name map (`<output>.map`) and a JSON run manifest
+(`<output>.manifest.json`) so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -356,6 +356,9 @@ def main(argv=None) -> int:
     except OSError as e:  # a file that cannot be read or written
         reason = str(e) if e.filename is None else f"{e.strerror}: {e.filename}"
         print(f"error: {reason}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as e:  # an input too large for the memory the process may use
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -133,11 +133,11 @@ def direct_product(a: TripleSystem, b: TripleSystem) -> TripleSystem:
     j, and for each triple of a and each of b the six ways of pairing
     their points.
     """
-    nb = b.n
+    nb, wide = b.n, a.triples.astype(np.int64)  # uint16 rows would wrap
     rows = np.arange(a.n)[:, None, None] * nb + b.triples
-    columns = a.triples * nb + np.arange(nb)[:, None, None]
+    columns = wide * nb + np.arange(nb)[:, None, None]
     orders = np.array(list(permutations(range(3))))
-    mixed = a.triples[:, None, None, :] * nb + b.triples[:, orders]
+    mixed = wide[:, None, None, :] * nb + b.triples[:, orders]
     blocks = (rows, columns, mixed)
     return TripleSystem(a.n * nb, np.concatenate([t.reshape(-1, 3) for t in blocks]))
 
@@ -470,7 +470,7 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     labels = np.stack([a1, a2, (-a1 - a2) % m], axis=1)
     if sigma is not None:
         labels = np.asarray(sigma, dtype=np.int32)[labels]
-    product = len(inp.x_points) + inp.v.triples[:, None, :] * m + labels
+    product = len(inp.x_points) + inp.v.triples[:, None, :].astype(np.int32) * m + labels
     return np.concatenate([*blocks, product.reshape(-1, 3)])
 
 
@@ -497,8 +497,11 @@ def moore_variant_sigma(inp: MooreInput, sigma) -> TripleSystem:
 
 
 def lift_v_automorphism(inp: MooreInput, g) -> tuple:
-    """Extend g in Aut V to the product: identity on X, (v, a) -> (g(v), a)."""
+    """Extend g in Aut V to the product: identity on X, (v, a) -> (g(v), a).
+    A g that is not a permutation of V's points raises ConstructionError."""
     g = tuple(g)
+    if sorted(g) != list(range(inp.v.n)):
+        raise ConstructionError(f"g is not a permutation of 0..{inp.v.n - 1}")
     out = list(range(inp.u_size))
     for v in range(inp.v.n):
         for a in range(inp.m):

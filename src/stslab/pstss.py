@@ -23,6 +23,7 @@ from .system import (
     VerificationError,
     _chunks,
     is_subsystem,
+    row_dtype,
 )
 
 
@@ -114,7 +115,7 @@ def build_qr(r: int) -> GadgetQ:
     n1, n2 = 2 * r + 4, 2 * r + 6
     c1 = cyclic_pstss(n1 // 2).system.triples
     c2 = cyclic_pstss(n2 // 2).system.triples
-    c2 = np.where(c2 == 0, 0, c2 + (n1 - 1))
+    c2 = np.where(c2 == 0, 0, c2.astype(np.int32) + (n1 - 1))
     zp = n1 + n2 - 1
     extra = np.array([[2, n1 + 1, zp]], dtype=np.int32)
     system = PartialTripleSystem(4 * r + 10, np.concatenate([c1, c2, extra]))
@@ -168,8 +169,9 @@ def attach_gadgets(v) -> AttachedSystem:
 
 
 # The largest ground size of a Boolean space.  Its n = 2^n' - 1 points take
-# about 2.5 n^2 bytes to build: n^2/6 rows of 12 bytes and the pair scan's
-# map of n^2/2.  That is 0.67 GB at n' = 14, 2.7 GB at 15 and 10.7 GB at 16.
+# about 1.5 n^2 bytes to build: n^2/6 uint16 rows of 6 bytes and the pair
+# scan's map of n^2/2.  That is 0.4 GB at n' = 14, 1.6 GB at 15 and 6.4 GB
+# at 16.
 MAX_GROUND = 15
 
 
@@ -183,7 +185,7 @@ class BooleanSpace:
         if not 1 <= self.n_prime <= MAX_GROUND:
             raise PstssError(
                 f"Boolean space ground size {self.n_prime} is outside 1..{MAX_GROUND}: "
-                f"2^n' - 1 points take about 2.5 (2^n' - 1)^2 bytes"
+                f"2^n' - 1 points take about 1.5 (2^n' - 1)^2 bytes"
             )
 
     @property
@@ -195,7 +197,7 @@ class BooleanSpace:
         lexicographic order; one block per top bit h of a, whose partners
         b > a with a xor b > b are the b >= 2^(h+1) with bit h clear."""
         n = self.n
-        out = np.empty((n * (n - 1) // 6, 3), dtype=np.int32)
+        out = np.empty((n * (n - 1) // 6, 3), dtype=row_dtype(n))
         lo = 0
         for h in range(self.n_prime - 1):
             a = np.arange(1 << h, 2 << h, dtype=np.int32)[:, None]
@@ -319,9 +321,8 @@ def nonspace_triples(rep: ReplacedSystem) -> list:
     """
     out = []
     for rows in _chunks(rep.system.triples):
-        xor = rows[:, 0] + 1
-        xor ^= rows[:, 1] + 1
-        xor ^= rows[:, 2] + 1
+        masks = rows.astype(np.int32) + 1
+        xor = masks[:, 0] ^ masks[:, 1] ^ masks[:, 2]
         out += map(tuple, rows[xor != 0].tolist())
     return out
 
@@ -459,7 +460,7 @@ def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
     rounds = max(1, (v.n - 10 * n) // (2 * n * n * (n + 1)) + 1)
     wprime = _attach(w, [(k + 1) * n * rounds for k in range(n)])
     off = wprime.system.n
-    triples = np.concatenate([wprime.system.triples, v.triples + off])
+    triples = np.concatenate([wprime.system.triples, v.triples.astype(np.int64) + off])
     return Corollary46Result(wprime=wprime, combined=PartialTripleSystem(off + v.n, triples))
 
 

@@ -1,8 +1,9 @@
 """Triple systems, partial triple systems, validation, closure, and file I/O.
 
 Points are always dense indices 0..n-1.  Triples are stored as a numpy
-(m, 3) int32 array with each row sorted ascending and rows in lexicographic
-order, so two systems with the same triples compare equal bit-for-bit.
+(m, 3) array of row_dtype(n), uint16 up to 65,536 points and int32 above,
+with each row sorted ascending and rows in lexicographic order, so two
+systems with the same triples compare equal bit-for-bit.
 
 Constructing a system validates it: a PartialTripleSystem has every pair in
 at most one triple and a TripleSystem in exactly one, or the constructor
@@ -38,32 +39,41 @@ def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+def row_dtype(n: int) -> np.dtype:
+    """The dtype of the rows of a system on n points: uint16 when every
+    index 0..n-1 fits it, that is n <= 65,536, else int32.  Arithmetic on
+    rows widens them first, since uint16 wraps silently."""
+    return np.dtype(np.uint16 if n <= 1 << 16 else np.int32)
+
+
 def _normal_form(n: int, triples) -> tuple:
-    """(rows, distinct): the rows as read-only int32 (m, 3), each sorted,
-    in lexicographic order, and whether their 3m pairs are distinct.
+    """(rows, distinct): the rows as read-only (m, 3) of row_dtype(n), each
+    sorted, in lexicographic order, and whether their 3m pairs are distinct.
 
     The pairs do not depend on the row order, so the rows are sorted after
     the pass that checks them, and only if it met one out of order.  A
-    read-only array in normal form that owns its data is adopted (its maker
-    handed it over); any other array passed in is copied, so a system never
-    shares a writable buffer.  Entries not int32 are checked before the cast.
+    read-only array in normal form of the row dtype that owns its data is
+    adopted (its maker handed it over); any other array passed in is
+    copied, so a system never shares a writable buffer.  Entries of any
+    other dtype are checked before the cast.
     """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
-    if not (isinstance(triples, np.ndarray) and triples.dtype == np.int32):
+    dtype = row_dtype(n)
+    if not (isinstance(triples, np.ndarray) and triples.dtype.kind in "iu"):
         triples = np.asarray(triples, dtype=np.int64)
     arr = triples
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("triples must be an (m, 3) array")
-    if arr.dtype != np.int32 and arr.size:
+    if arr.dtype != dtype and arr.size:
         top = arr.max()
         if arr.min() < 0 or top >= n:
             raise ValueError("triple entry out of range 0..n-1")
         if top > _INT32_MAX:
             raise ValueError(f"triple entry {top} is above the int32 maximum {_INT32_MAX}")
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     ordered, distinct = _scan_rows(arr, n)
     if not ordered:
         arr = _sorted_rows(arr, n)
@@ -79,7 +89,7 @@ def _normal_form(n: int, triples) -> tuple:
 
 
 def _scan_rows(rows: np.ndarray, n: int) -> tuple:
-    """(ordered, distinct) from one pass over int32 rows, a chunk at a time
+    """(ordered, distinct) from one pass over the rows, a chunk at a time
     on contiguous copies of its columns: sort them by a min/max network if
     a row is out of order, check their min and max lie in 0..n-1 and each
     key against the row before's, and mark each pair x < y at its upper-
@@ -151,7 +161,7 @@ def _sorted_rows(rows: np.ndarray, n: int) -> np.ndarray:
     keys = _triple_keys(cols.T, n)
     del cols
     keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
-    out = np.empty((keys.size, 3), dtype=np.int32)
+    out = np.empty((keys.size, 3), dtype=row_dtype(n))
     for j in (2, 1):
         out[:, j] = keys % n
         keys //= n
@@ -474,7 +484,7 @@ def write_system(ts: _SystemBase, path) -> str:
             if size > 3 * m:
                 cells = _decimal_cells(rows, width)
             else:
-                cells = tokens.take(rows * 2 + (0, 0, 1)).view(np.uint8)
+                cells = tokens.take(rows.astype(np.intp) * 2 + (0, 0, 1)).view(np.uint8)
             lines = cells[cells != 0].tobytes()
             digest.update(lines)
             fh.write(lines)
@@ -493,18 +503,20 @@ _LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
 
 
 def _parse_rows(raw: bytes, start: int, n: int):
-    """The rows of raw[start:] as an int32 (m, 3) array, when every line is
-    three in-range decimal indices joined by single spaces; else None.
+    """The rows of raw[start:] as an (m, 3) array of row_dtype(n), when
+    every line is three in-range decimal indices joined by single spaces;
+    else None.
 
     Reads about _READ_BYTES at a time, cut at line ends, into one array
-    with a row per line.  A last line with no newline gets one appended to
-    a copy of its chunk alone.
+    with a row per line; each step's values are summed in int32 and then
+    stored.  A last line with no newline gets one appended to a copy of its
+    chunk alone.
     """
     end = len(raw)
     width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
     unterminated = end > start and raw[-1:] != b"\n"
-    rows = np.empty((raw.count(b"\n", start) + unterminated, 3), dtype=np.int32)
-    values = rows.reshape(-1)  # at most 9 digits each
+    rows = np.empty((raw.count(b"\n", start) + unterminated, 3), dtype=row_dtype(n))
+    values = rows.reshape(-1)
     done = 0
     while start < end:
         stop = raw.find(b"\n", min(start + _READ_BYTES, end) - 1) + 1 or end
@@ -519,8 +531,7 @@ def _parse_rows(raw: bytes, start: int, n: int):
         lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
         if lengths.min() < 1 or lengths.max() > width:
             return None
-        chunk = values[done : done + seps.size]
-        chunk[:] = 0
+        chunk = np.zeros(seps.size, dtype=np.int32)  # at most 9 digits each
         for k in range(1, int(lengths.max()) + 1):  # add the k-th digit from the right
             digit = buf[np.maximum(seps - k, 0)] - np.int32(ord("0"))
             digit *= lengths >= k
@@ -528,6 +539,7 @@ def _parse_rows(raw: bytes, start: int, n: int):
             chunk += digit
         if chunk.max() >= n:
             return None
+        values[done : done + seps.size] = chunk
         done += seps.size
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows

@@ -51,6 +51,7 @@ from stslab import (
 )
 from stslab.constructions import UnsupportedEmbeddingError, ConstructionError
 from fano_reference import enumerate_fano_bruteforce
+from test_core import _update_int32
 from stslab.perm import PermutationGroup
 from stslab.params import ADMISSIBLE_DELTAS
 from stslab.pstss import cyclic_pstss
@@ -260,8 +261,8 @@ def test_criterion_08_gadgets():
     )
 
 
-# SHA-256 of the n' = 14 switched rows as first built: each removed row
-# overwritten by an added one, then every row sorted again
+# SHA-256 of the n' = 14 switched rows as int32, as first built: each
+# removed row overwritten by an added one, then every row sorted again
 _GADGET_SWITCH_SHA256 = "117e01c48e126e620a7942eda34e3bf8dddca0352274f8bbdcf1d3d43bd84158"
 
 
@@ -279,7 +280,8 @@ def test_criterion_09_replacement_pipeline():
         rep = replace_triples(boolean_space(n_prime), vp)
         valid = validate_sts(rep.system).ok
         if n_prime == 14:
-            valid = valid and hashlib.sha256(rep.system.triples.data).hexdigest() == _GADGET_SWITCH_SHA256
+            digest = _update_int32(hashlib.sha256(), rep.system.triples).hexdigest()
+            valid = valid and digest == _GADGET_SWITCH_SHA256
         prop = check_property_44(rep)
         rng = random.Random(n_prime)
         n = rep.system.n

@@ -3,9 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stslab
 from stslab import (
     ParameterSolution,
     TripleSystem,
@@ -340,6 +345,41 @@ def test_user_errors_print_one_error_line(tmp_path, capsys, argv, code):
     assert _run(*(a.format(tmp=tmp_path) for a in argv.split())) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Runs the CLI in a child process whose address space is capped, so that
+# an input too large for it raises MemoryError there and nowhere else.
+_CAPPED_CLI = """
+import resource, sys
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from stslab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct pg --dim 14 --output {tmp}/x.sts",  # 1 GB of rows in one array
+        "construct base --n 20001 --output {tmp}/x.sts",  # 66.7M triples in Python lists
+    ],
+    ids=["pg_dim_14", "base_n_20001"],
+)
+def test_out_of_memory_prints_one_error_line(tmp_path, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(stslab.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    argv = [a.format(tmp=tmp_path) for a in argv.split()]
+    cap = str(512 * 2**20)
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, cap, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == EXIT_VALIDATION, done.stderr
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
+    assert not (tmp_path / "x.sts").exists()
 
 
 def test_internal_fault_surfaces(tmp_path, monkeypatch):

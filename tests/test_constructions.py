@@ -42,6 +42,7 @@ from stslab.perm import PermutationGroup
 from stslab.constructions import _is_projective_15, _moore_triples, random_sts
 from stslab.pstss import attach_gadgets, corollary46_build, corollary47_build, cyclic_pstss
 from stslab.system import restrict, span
+from test_core import _update_int32
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,13 @@ def test_lift_v_automorphism_exact():
         assert is_automorphism(u, lifted)
 
 
+@pytest.mark.parametrize("g", [(0, 0, 0), (0, 1), (0, 1, 2, 3), (0, 1, 3), (2, 1, -1)])
+def test_lift_v_automorphism_refuses_a_non_permutation(g):
+    inp = MooreInput.build(*embed_subsystem(1, 7), base_sts(3))
+    with pytest.raises(ConstructionError, match="not a permutation"):
+        lift_v_automorphism(inp, g)
+
+
 @pytest.mark.parametrize("x, y, v, order", [(3, 19, 9, 432), (7, 31, 7, 168)])
 def test_aut_of_product_is_the_lifted_aut_v(x, y, v, order):
     inp = _inp(x, y, v)
@@ -398,8 +406,8 @@ def test_moore_triples_match_loop_oracle():
     assert built == 27
 
 
-# SHA-256 of the rows of moore(_inp(x, y, v)) as built by the per-point
-# (M2) loop the broadcast blocks replaced
+# SHA-256 of the rows of moore(_inp(x, y, v)) as int32, as built by the
+# per-point (M2) loop the broadcast blocks replaced
 _MOORE_ROWS_SHA256 = {
     (1, 7, 3): "be934a42a2428e3b4389f7673036c0713adf8d57d90e7bb4cc33940678d51783",
     (3, 9, 3): "3fa05263d9863632f0a9c671b75eb30009885d80ceacca3e710a4a2756cc29bf",
@@ -413,7 +421,7 @@ _MOORE_ROWS_SHA256 = {
 @pytest.mark.parametrize("params", sorted(_MOORE_ROWS_SHA256))
 def test_moore_rows_match_recorded_digest(params):
     rows = moore(_inp(*params)).triples
-    assert hashlib.sha256(rows.data).hexdigest() == _MOORE_ROWS_SHA256[params]
+    assert _update_int32(hashlib.sha256(), rows).hexdigest() == _MOORE_ROWS_SHA256[params]
 
 
 def test_moore_variant_sigma_triples_match_loop_oracle():
@@ -538,7 +546,7 @@ def _built_from_systems(family):
             yield restrict(cyclic_pstss(5).system, pts)[0]
 
 
-# SHA-256 over "n:" and the row bytes of each system of the grid above, as
+# SHA-256 over "n:" and the int32 row bytes of each system of the grid above, as
 # built by the per-triple loops over relabel dicts that the row gathers
 # replaced
 _BUILT_FROM_SYSTEMS_SHA256 = {
@@ -557,7 +565,7 @@ def test_built_from_systems_match_recorded_digest(family):
     digest = hashlib.sha256()
     for ts in _built_from_systems(family):
         digest.update(f"{ts.n}:".encode())
-        digest.update(ts.triples.tobytes())
+        _update_int32(digest, ts.triples)
     assert digest.hexdigest() == _BUILT_FROM_SYSTEMS_SHA256[family]
 
 

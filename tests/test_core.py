@@ -42,7 +42,7 @@ from stslab import (
 import stslab.system
 from stslab.constructions import random_sts
 from stslab.pstss import cyclic_pstss
-from stslab.system import _normalize
+from stslab.system import _normalize, row_dtype
 
 
 FANO = base_sts(7)
@@ -551,6 +551,14 @@ def _lexsort_normalize(n, triples):
     return np.ascontiguousarray(arr[order], dtype=np.int32)
 
 
+def _update_int32(digest, rows):
+    """Feed digest the rows' bytes as int32 a chunk at a time, so a digest
+    recorded from int32 rows pins rows of any dtype."""
+    for lo in range(0, rows.shape[0], 1 << 17):
+        digest.update(rows[lo : lo + (1 << 17)].astype(np.int32).tobytes())
+    return digest
+
+
 # from 2,097,152 points on n^3 overflows int64, so rows are ordered by (a*n + b, c)
 _NORMALIZE_SIZES = [0, 1, 2, 3, 7, 10, 50, 2_097_151, 2_097_152, 3_000_000]
 
@@ -571,11 +579,12 @@ def test_normalize_matches_lexsort_oracle(data):
         rows.sort()
     elif shape == "reversed":
         rows.sort(reverse=True)
-    kind = data.draw(st.sampled_from(["list", "int32", "int64"]))
+    kinds = ["list", "int32", "int64"] + (["uint16"] if n <= 65536 else [])
+    kind = data.draw(st.sampled_from(kinds))
     given_rows = rows if kind == "list" else np.array(rows, dtype=kind).reshape(-1, 3)
     got = _normalize(n, given_rows)
     want = _lexsort_normalize(n, rows)
-    assert got.dtype == np.int32 and got.shape == want.shape
+    assert got.dtype == (np.uint16 if n <= 65536 else np.int32) and got.shape == want.shape
     assert np.array_equal(got, want)
     assert not got.flags.writeable
     if isinstance(given_rows, np.ndarray):
@@ -601,7 +610,7 @@ def test_normalize_of_sorted_rows_allocates_one_copy_of_the_array():
     bounded scratch space on top."""
     rng = np.random.default_rng(0)
     rows = np.sort(rng.integers(0, 300, size=(1_000_000, 3)), axis=1)
-    rows = _lexsort_normalize(300, rows)
+    rows = _lexsort_normalize(300, rows).astype(row_dtype(300))
     tracemalloc.start()
     try:
         got = _normalize(300, rows)
@@ -625,6 +634,7 @@ def test_normalize_finds_a_descent_at_every_chunk_boundary(monkeypatch):
 
 def test_normalize_adopts_a_read_only_array_that_owns_its_data():
     rows = _lexsort_normalize(300, np.random.default_rng(1).integers(0, 300, size=(1000, 3)))
+    rows = rows.astype(row_dtype(300))
     rows.setflags(write=False)
     got = _normalize(300, rows)
     assert got is rows and not got.flags.writeable
@@ -633,6 +643,7 @@ def test_normalize_adopts_a_read_only_array_that_owns_its_data():
 
 def test_normalize_copies_what_it_cannot_adopt():
     rows = _lexsort_normalize(300, np.random.default_rng(2).integers(0, 300, size=(1000, 3)))
+    rows = rows.astype(row_dtype(300))
     view = rows[:]  # read-only, but its owner can still write the rows
     view.setflags(write=False)
     unsorted = rows[::-1].copy()
@@ -671,6 +682,47 @@ def test_one_pass_at_chunk_edges_matches_the_oracles(monkeypatch, chunk):
         given = np.array(case, dtype=np.int32)
         assert np.array_equal(_normalize(n, given), _lexsort_normalize(n, case)), name
         _check_against_reference(n, given)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 65535, 65536, 65537, 100_002, 3_000_000])
+def test_rows_are_uint16_exactly_up_to_65536_points(n):
+    want = np.uint16 if n <= 65536 else np.int32
+    assert row_dtype(n) == want
+    rows = [(0, 1, n - 1)] if n >= 3 else []
+    for given_rows in (rows, np.array(rows, dtype=np.int64).reshape(-1, 3)):
+        assert PartialTripleSystem(n, given_rows).triples.dtype == want
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_systems_at_the_uint16_edge_round_trip(tmp_path, n):
+    """Point n - 1 = 65,535 is the largest uint16 index, and 65,536 the
+    first that needs int32.  3m >= n, so the writer takes the token path,
+    whose cells index 2p + 1 for each point p."""
+    triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(21845)] + [(0, 3, n - 1)]
+    ts = PartialTripleSystem(n, triples)
+    assert ts.triples.dtype == row_dtype(n) and int(ts.triples.max()) == n - 1
+    assert ts.triples.tolist() == sorted(map(list, triples))
+    write_system(ts, tmp_path / "new.sts")
+    _fstring_write(ts, tmp_path / "old.sts")
+    assert (tmp_path / "new.sts").read_bytes() == (tmp_path / "old.sts").read_bytes()
+    back = read_system(tmp_path / "new.sts")
+    assert back == ts and hash(back) == hash(ts) and back.triples.dtype == ts.triples.dtype
+    again = PartialTripleSystem(n, np.array(triples, dtype=np.int64))
+    assert again == ts and hash(again) == hash(ts)
+    whole, old_of_new = restrict(ts, range(n))
+    assert whole == ts and hash(whole) == hash(ts) and old_of_new == list(range(n))
+    edge, old_of_new = restrict(ts, (0, 3, n - 2, n - 1))
+    assert edge == PartialTripleSystem(4, [(0, 1, 3)]) and old_of_new == [0, 3, n - 2, n - 1]
+    assert ts != PartialTripleSystem(n + 1, triples)
+
+
+@pytest.mark.parametrize("entry", [65536, 99999, 131072])
+def test_read_refuses_entries_past_the_uint16_points(tmp_path, entry):
+    """The parser sums digits in int32: 99,999 would wrap to 34,463 in uint16."""
+    path = tmp_path / "edge.pstss"
+    path.write_text(f"pstss 65536\n0 1 {entry}\n")
+    with pytest.raises(FormatError, match="out of range"):
+        read_system(path)
 
 
 def test_entries_above_the_int32_range_are_refused(tmp_path):

@@ -31,7 +31,7 @@ from stslab import (
 )
 from stslab import pstss
 from stslab.pstss import BooleanSpace, _switch_rows, is_cyclic_pstss, nonspace_triples
-from stslab.system import _triple_keys
+from stslab.system import _CHUNK, _triple_keys
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def _build_qr_comprehensions(r: int) -> tuple:
     return c1 + c2 + [tuple(sorted((2, zp, p2(2))))], zp
 
 
-@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("r", [*range(1, 9), 16382])  # 16382: cycle points reach 65,536
 def test_build_qr_matches_the_comprehensions(r):
     triples, zp = _build_qr_comprehensions(r)
     q = build_qr(r)
@@ -158,7 +158,7 @@ def _triples_array_loop(n: int) -> np.ndarray:
 def test_triples_array_matches_loop(n_prime):
     sp = boolean_space(n_prime)
     got = sp.triples_array()
-    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert got.dtype == np.uint16 and got.flags.c_contiguous  # every Boolean space has n <= 65,536
     assert got.shape == (sp.n * (sp.n - 1) // 6, 3)
     assert np.array_equal(got, _triples_array_loop(sp.n))
 
@@ -206,7 +206,9 @@ def test_boolean_space_system_adopts_its_rows():
     finally:
         tracemalloc.stop()
     assert rows.flags.owndata and not rows.flags.writeable
-    assert peak < 1.75 * rows.nbytes, f"{peak / 1e6:.1f} MB for {rows.nbytes / 1e6:.1f} MB of rows"
+    cells = space.n * (space.n - 1) // 2  # the pair scan's map
+    bound = rows.nbytes + cells + 64 * _CHUNK  # 33.5 MB
+    assert peak < bound, f"{peak / 1e6:.1f} MB for {rows.nbytes / 1e6:.1f} MB of rows"
 
 
 @pytest.mark.parametrize(
@@ -328,6 +330,16 @@ def test_corollary46():
     assert automorphism_group(out.wprime.system).order == 1
     # the combined symmetry is exactly that of the untouched V copy
     assert automorphism_group(out.combined).order == automorphism_group(v).order
+
+
+def test_corollary46_places_v_past_the_uint16_points():
+    """W = STS(33) gives |W'| = 74,382, so V's copy starts above 65,535."""
+    v, w = base_sts(7), base_sts(33)
+    out = corollary46_build(v, w)
+    off = out.wprime.system.n
+    assert off == 74_382 and out.combined.n == off + 7
+    want = [[p + off for p in t] for t in v.triples.tolist()]
+    assert out.combined.triples[-v.n_triples :].tolist() == want
 
 
 def _count_calls(monkeypatch, name) -> list:
