@@ -590,10 +590,6 @@ class BlockDesign:
     def k(self) -> int:
         return len(self.blocks[0]) if self.blocks else 0
 
-    @classmethod
-    def from_sts(cls, ts: TripleSystem) -> "BlockDesign":
-        return cls(ts.n, ts.triples.tolist())
-
 
 def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
     """Blow up each block of the design into a copy of s.

@@ -236,15 +236,3 @@ def orbit_of(point: int, gens: list) -> frozenset:
                     new.append(img)
         frontier = new
     return frozenset(seen)
-
-
-def orbits_of(points, gens: list) -> list:
-    """Partition `points` into orbits under gens (restricted to those points)."""
-    remaining = set(points)
-    out = []
-    while remaining:
-        p = min(remaining)
-        orb = orbit_of(p, gens) & remaining
-        out.append(orb)
-        remaining -= orb
-    return out

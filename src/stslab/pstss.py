@@ -21,7 +21,9 @@ from .system import (
     PointSet,
     TripleSystem,
     VerificationError,
-    _chunks,
+    _CHUNK,
+    _share,
+    _steps,
     is_subsystem,
     row_dtype,
 )
@@ -59,29 +61,6 @@ def cyclic_pstss(t: int) -> CyclicPstss:
         tuple(sorted((2 * j, 2 * j + 1, (2 * j + 2) % (2 * t)))) for j in range(t)
     )
     return CyclicPstss(t=t, system=PartialTripleSystem.from_triples(2 * t, cycle))
-
-
-def is_cyclic_pstss(ps) -> bool:
-    """Check the defining property: triples meeting pairwise form a cycle."""
-    triples = ps.triples.tolist()
-    k = len(triples)
-    if k < 3:
-        return False
-    adj = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if set(triples[i]) & set(triples[j]):
-                adj[i].append(j)
-                adj[j].append(i)
-    if any(len(a) != 2 for a in adj):
-        return False
-    seen = {0}
-    cur, prev = adj[0][0], 0
-    while cur != 0:
-        seen.add(cur)
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        prev, cur = cur, nxt
-    return len(seen) == k
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +293,29 @@ def _switch_rows(rows: np.ndarray, drop: list, add: list) -> None:
 
 
 def nonspace_triples(rep: ReplacedSystem) -> list:
-    """Triples of the switched system that are not lines of the space.
+    """Triples of the switched system that are not lines of the space,
+    found a step at a time (_steps).
 
     A line has the xor of its three masks zero; the switched-in triples
     do not.
     """
+    rows, size = rep.system.triples, _share(_CHUNK)
+
+    def scratch():
+        k = min(size, rows.shape[0])
+        return np.empty((k, 3), np.int32), np.empty(k, np.int32)
+
+    def step(i, s):
+        part = rows[i * size : (i + 1) * size]
+        masks, xor = s[0][: part.shape[0]], s[1][: part.shape[0]]
+        np.add(part, 1, out=masks, dtype=np.int32)
+        np.bitwise_xor(masks[:, 0], masks[:, 1], out=xor)
+        xor ^= masks[:, 2]
+        return part[np.flatnonzero(xor)]
+
     out = []
-    for rows in _chunks(rep.system.triples):
-        masks = rows.astype(np.int32) + 1
-        xor = masks[:, 0] ^ masks[:, 1] ^ masks[:, 2]
-        out += map(tuple, rows[xor != 0].tolist())
+    for hits in _steps(-(-rows.shape[0] // size), step, scratch):
+        out += map(tuple, hits.tolist())
     return out
 
 

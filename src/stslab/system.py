@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -26,13 +28,78 @@ PointSet = frozenset  # frozenset[int]; subsets of 0..n-1
 
 _KEY_MAX_N = 2_097_151  # largest n with n**3 < 2**63, so row keys fit int64
 _INT32_MAX = np.iinfo(np.int32).max
-_CHUNK = 1 << 17  # rows per step of the one pass over the rows: its scratch is a few MB
+_CHUNK = 1 << 17  # rows in the steps of the one pass over the rows that both workers hold
 
 
-def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share(budget: int) -> int:
+    """One step's share of a budget that the steps of both workers hold together."""
+    return max(budget // 2, 1)
+
+
+def _steps(count: int, step, scratch) -> Iterator:
+    """Yield step(i, s) for i = 0, ..., count - 1, in order.
+
+    With two steps or more and two CPUs, the calling thread runs the even
+    steps and one helper thread, started here and joined before this
+    returns or raises, the odd ones; numpy lets go of the interpreter lock
+    inside its loops, so the two overlap.  Otherwise the calling thread
+    runs every step.  s is the scratch of the worker running the step,
+    made by scratch() in the calling thread, so steps that write into it
+    leave next to no freed memory in the helper's own malloc arena.  A
+    step's result may live in s: a worker starts its next step only once
+    the consumer has asked for the result after its last.  The exception
+    of the first step in order that raises is raised here, as if the
+    steps ran one by one.
+    """
+    if count < 2 or _cpus() < 2:
+        own = scratch()
+        for i in range(count):
+            yield step(i, own)
+        return
+    own, theirs = scratch(), scratch()
+    done, free = threading.Semaphore(0), threading.Semaphore(0)
+    box, stop = [None, None], False
+
+    def helper():
+        for i in range(1, count, 2):
+            try:
+                box[:] = step(i, theirs), None
+            except BaseException as exc:  # raised in the calling thread, in step order
+                box[:] = None, exc
+            done.release()
+            free.acquire()
+            if stop:
+                return
+
+    thread = threading.Thread(target=helper, name="stslab-step")
+    thread.start()
+    try:
+        for i in range(count):
+            if i % 2 == 0:
+                yield step(i, own)
+                continue
+            done.acquire()
+            result, exc = box
+            if exc is not None:
+                raise exc
+            yield result
+            free.release()
+    finally:
+        stop = True
+        free.release()
+        thread.join()
+
+
+def _triple_keys(rows: np.ndarray, n: int, out=None) -> np.ndarray:
     """One int64 key a*n^2 + b*n + c per row, n <= _KEY_MAX_N; keys order like the rows."""
-    keys = rows[:, 0].astype(np.int64)
-    keys *= n
+    keys = np.multiply(rows[:, 0], n, out=out, dtype=np.int64)
     keys += rows[:, 1]
     keys *= n
     keys += rows[:, 2]
@@ -55,7 +122,9 @@ def _normal_form(n: int, triples) -> tuple:
     read-only array in normal form of the row dtype that owns its data is
     adopted (its maker handed it over); any other array passed in is
     copied, so a system never shares a writable buffer.  Entries of any
-    other dtype are checked before the cast.
+    other dtype are checked before the cast.  A cast is let go before the
+    sort, so sorting holds the caller's triples, the int64 keys and then
+    the new rows.
     """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
@@ -74,12 +143,18 @@ def _normal_form(n: int, triples) -> tuple:
         if top > _INT32_MAX:
             raise ValueError(f"triple entry {top} is above the int32 maximum {_INT32_MAX}")
     arr = np.ascontiguousarray(arr, dtype=dtype)
+    shared = np.may_share_memory(arr, triples)
+    adopt = shared and triples.flags.owndata and not triples.flags.writeable
+    del triples  # an int64 array made from a list above is not needed again
     ordered, distinct = _scan_rows(arr, n)
-    if not ordered:
-        arr = _sorted_rows(arr, n)
-    elif np.may_share_memory(arr, triples) and not (
-        triples.flags.owndata and not triples.flags.writeable
-    ):
+    if not ordered and n > _KEY_MAX_N:
+        arr = _lexsorted_rows(arr, n)
+    elif not ordered:
+        keys = _row_keys(arr, n)
+        del arr  # a cast made above goes before the keys are sorted
+        keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
+        arr = _rows_of_keys(keys, n)
+    elif shared and not adopt:
         arr = arr.copy()
     arr.setflags(write=False)
     if distinct is None:
@@ -89,84 +164,128 @@ def _normal_form(n: int, triples) -> tuple:
 
 
 def _scan_rows(rows: np.ndarray, n: int) -> tuple:
-    """(ordered, distinct) from one pass over the rows, a chunk at a time
+    """(ordered, distinct) from one pass over the rows, a step at a time
     on contiguous copies of its columns: sort them by a min/max network if
     a row is out of order, check their min and max lie in 0..n-1 and each
     key against the row before's, and mark each pair x < y at its upper-
     triangle index (_triangle_offsets) in a map of n(n-1)/2 bytes.  A row
-    with a repeated point has no index: its chunk settles `distinct`
-    unmarked.  distinct is None when the codes a*n+b take fewer bytes than
-    the map: the caller sorts them."""
+    with a repeated point has no index: its step marks nothing and settles
+    `distinct`.  distinct is None when the codes a*n+b take fewer bytes
+    than the map: the caller sorts them.  Two steps mark the map at once;
+    they write only True, so neither can undo the other's marks."""
+    m, size = rows.shape[0], _share(_CHUNK)
     cells = n * (n - 1) // 2
     seen = None
-    if 3 * rows.shape[0] * (4 if n <= 65535 else 8) >= cells:
+    if 3 * m * (4 if n <= 65535 else 8) >= cells:
         seen, off = np.zeros(cells, dtype=bool), _triangle_offsets(n)
-    distinct, last = True, -1
-    ordered = n <= _KEY_MAX_N  # larger keys do not fit int64: such rows are always sorted
-    for lo in range(0, rows.shape[0], _CHUNK):
-        cols = rows[lo : lo + _CHUNK].T.copy()
+    keyed = n <= _KEY_MAX_N  # larger keys do not fit int64: such rows are always sorted
+
+    def scratch():
+        k = min(size, m)
+        return (np.empty((3, k), rows.dtype), np.empty(k, rows.dtype), np.empty(k, np.int64),
+                np.empty(k, bool), np.empty((2, k), np.intp))
+
+    def step(i, s):
+        """(first key, last key) if the step's rows are in order, else None;
+        and whether a row repeats a point."""
+        part = rows[i * size : (i + 1) * size]
+        k = part.shape[0]
+        cols, low, keys, flags, (wide, oa) = (x[..., :k] for x in s)
+        np.copyto(cols, part.T)
         a, b, c = cols
-        if (a > b).any() or (b > c).any():
-            ordered = False
-            _sort_columns(cols)
+        inside = not (np.greater(a, b, out=flags).any() or np.greater(b, c, out=flags).any())
+        if not inside:
+            _sort_columns(cols, low)
         if a.min() < 0 or c.max() >= n:
             raise ValueError("triple entry out of range 0..n-1")
-        if ordered:
-            keys = _triple_keys(cols.T, n)
-            ordered = keys[0] >= last and not (keys[1:] < keys[:-1]).any()
-            last = keys[-1]
-        if seen is not None and distinct:
-            distinct = not ((a == b).any() or (b == c).any())  # sorted: a <= b <= c
-            if distinct:
-                oa = off.take(a)
-                seen[oa + b] = True
-                oa += c
-                seen[oa] = True
-                ob = off.take(b)
-                ob += c
-                seen[ob] = True
+        bounds = None
+        if keyed and inside:
+            _triple_keys(cols.T, n, out=keys)
+            if not np.less(keys[1:], keys[:-1], out=flags[1:]).any():
+                bounds = keys[0], keys[-1]
+        repeats = seen is not None and (
+            np.equal(a, b, out=flags).any() or np.equal(b, c, out=flags).any()
+        )
+        if seen is not None and not repeats:  # sorted: a < b < c
+            np.copyto(wide, a)  # take() would widen its indices into a new array
+            np.take(off, wide, out=oa, mode="clip")
+            np.add(oa, b, out=wide)
+            seen[wide] = True
+            oa += c
+            seen[oa] = True
+            np.copyto(wide, b)
+            np.take(off, wide, out=oa, mode="clip")
+            oa += c
+            seen[oa] = True
+        return bounds, repeats
+
+    ordered, distinct, last = keyed, True, -1
+    for bounds, repeats in _steps(-(-m // size), step, scratch):
+        ordered = ordered and bounds is not None and bounds[0] >= last
+        last = bounds[1] if ordered else last
+        distinct = distinct and not repeats
     if seen is None:
         return ordered, None
-    return ordered, distinct and int(np.count_nonzero(seen)) == 3 * rows.shape[0]
+    return ordered, distinct and int(np.count_nonzero(seen)) == 3 * m
 
 
-def _normalize(n: int, triples) -> np.ndarray:
-    """The rows of _normal_form alone."""
-    return _normal_form(n, triples)[0]
-
-
-def _chunks(rows: np.ndarray) -> Iterator[np.ndarray]:
-    return (rows[lo : lo + _CHUNK] for lo in range(0, rows.shape[0], _CHUNK))
-
-
-def _sort_columns(cols: np.ndarray) -> None:
+def _sort_columns(cols: np.ndarray, low: np.ndarray) -> None:
     """Sort each row's three entries in place by a min/max network; the
-    rows of cols, (3, k), hold the first, second and third entries."""
-    low = np.empty_like(cols[0])
+    rows of cols, (3, k), hold the first, second and third entries, and
+    low is scratch of k entries."""
     for i, j in ((0, 1), (1, 2), (0, 1)):
         np.minimum(cols[i], cols[j], out=low)
         np.maximum(cols[i], cols[j], out=cols[j])
         cols[i] = low
 
 
-def _sorted_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """A new array of the rows, each sorted by the network, in
-    lexicographic order: by their int64 keys, or for n above _KEY_MAX_N by
-    (a*n + b, c)."""
-    cols = rows.T.copy()
-    _sort_columns(cols)
-    if n > _KEY_MAX_N:
-        order = np.lexsort((cols[2], cols[0].astype(np.int64) * n + cols[1]))
-        return np.ascontiguousarray(cols.T[order])
-    keys = _triple_keys(cols.T, n)
-    del cols
-    keys.sort(kind="stable")  # timsort: fast on nearly sorted rows
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """The int64 keys of the rows, each sorted by the network, in row
+    order, n <= _KEY_MAX_N; built a step at a time (_steps)."""
+    m, size = rows.shape[0], _share(_CHUNK)
+    keys = np.empty(m, dtype=np.int64)
+
+    def scratch():
+        return np.empty((3, min(size, m)), rows.dtype), np.empty(min(size, m), rows.dtype)
+
+    def step(i, s):
+        part = rows[i * size : (i + 1) * size]
+        cols, low = s[0][:, : part.shape[0]], s[1][: part.shape[0]]
+        np.copyto(cols, part.T)
+        _sort_columns(cols, low)
+        _triple_keys(cols.T, n, out=keys[i * size : (i + 1) * size])
+
+    for _ in _steps(-(-m // size), step, scratch):
+        pass
+    return keys
+
+
+def _rows_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The rows whose keys are given, as a new array of row_dtype(n),
+    unpacked in place a step at a time (_steps); keys is left holding the
+    rows' first entries."""
     out = np.empty((keys.size, 3), dtype=row_dtype(n))
-    for j in (2, 1):
-        out[:, j] = keys % n
-        keys //= n
-    out[:, 0] = keys
+    size = _share(_CHUNK)
+
+    def step(i, s):
+        part, rows = keys[i * size : (i + 1) * size], out[i * size : (i + 1) * size]
+        for j in (2, 1):
+            np.remainder(part, n, out=rows[:, j], casting="unsafe")
+            np.floor_divide(part, n, out=part)
+        rows[:, 0] = part
+
+    for _ in _steps(-(-keys.size // size), step, lambda: None):
+        pass
     return out
+
+
+def _lexsorted_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """A new array of the rows, each sorted by the network, in
+    lexicographic order by (a*n + b, c), for n above _KEY_MAX_N."""
+    cols = rows.T.copy()
+    _sort_columns(cols, np.empty_like(cols[0]))
+    order = np.lexsort((cols[2], cols[0].astype(np.int64) * n + cols[1]))
+    return np.ascontiguousarray(cols.T[order])
 
 
 class VerificationError(RuntimeError):
@@ -251,9 +370,6 @@ class _SystemBase:
         """Map each covered pair (a, b) with a < b to the third point (a copy)."""
         rows = self.triples.tolist()
         return {(x, y): z for a, b, c in rows for x, y, z in ((a, b, c), (a, c, b), (b, c, a))}
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.triples.ravel(), minlength=self.n)
 
     def __eq__(self, other):
         return (
@@ -445,7 +561,7 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
 # "sts/1" text format
 
 
-_WRITE_ROWS = 1 << 18
+_WRITE_ROWS = 1 << 18  # rows in the steps of the writer that both workers hold
 
 
 def _decimal_cells(values: np.ndarray, width: int) -> np.ndarray:
@@ -463,29 +579,51 @@ def write_system(ts: _SystemBase, path) -> str:
     """Write the header line, then one line "a b c" per row; return the
     SHA-256 hex digest of the bytes written.
 
-    Rows are written a chunk at a time, as their cells' nonzero bytes.  The
-    cells of a chunk are taken one item per entry from a table holding
-    each of 0..p, p the largest point in a triple, as "p " at 2p and "p\\n"
-    at 2p + 1, unless that table would hold more entries than the rows do.
+    Rows are formatted a step at a time (_steps), as their cells' nonzero
+    bytes, and hashed and written in order, so at most two formatted steps
+    wait.  The cells of a step are taken into its worker's scratch, one
+    item per entry, from a table holding each of 0..p, p the largest point
+    in a triple, as "p " at 2p and "p\\n" at 2p + 1; unless that table
+    would hold more entries than the rows do, when each step formats its
+    own rows.
     """
     kind = "sts" if isinstance(ts, TripleSystem) else "pstss"
-    m = ts.n_triples
-    size = int(ts.triples.max()) + 1 if m else 0
-    width = len(str(max(size - 1, 0)))
-    if size <= 3 * m:
-        pairs = np.arange(size).repeat(2).reshape(size, 2)
-        tokens = _decimal_cells(pairs, width).view(f"V{width + 1}").reshape(2 * size)
+    rows, m, size = ts.triples, ts.n_triples, _share(_WRITE_ROWS)
+    top = int(rows.max()) + 1 if m else 0
+    width = len(str(max(top - 1, 0)))
+    tabled = top <= 3 * m
+    if tabled:
+        pairs = np.arange(top).repeat(2).reshape(top, 2)
+        tokens = _decimal_cells(pairs, width).view(f"V{width + 1}").reshape(2 * top)
+
+    def scratch():
+        if not tabled:
+            return None
+        k = min(size, m)
+        cells = np.empty((k, 3), tokens.dtype)
+        keep, lines = np.empty(cells.nbytes, bool), np.empty(cells.nbytes, np.uint8)
+        return np.empty((k, 3), np.intp), cells, keep, lines
+
+    def step(i, s):
+        part = rows[i * size : (i + 1) * size]
+        if not tabled:
+            cells = _decimal_cells(part, width)
+            return cells[cells != 0].tobytes()
+        index, cells = s[0][: part.shape[0]], s[1][: part.shape[0]]
+        np.multiply(part, 2, out=index, dtype=np.intp)
+        index += (0, 0, 1)
+        np.take(tokens, index, out=cells, mode="clip")
+        flat = cells.view(np.uint8).reshape(-1)
+        keep = np.not_equal(flat, 0, out=s[2][: flat.size])
+        lines = s[3][: np.count_nonzero(keep)]
+        lines[:] = flat[keep]  # the step's one new array, let go at once
+        return lines
+
     head = f"{kind} {ts.n}\n".encode()
     digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        for lo in range(0, m, _WRITE_ROWS):
-            rows = ts.triples[lo : lo + _WRITE_ROWS]
-            if size > 3 * m:
-                cells = _decimal_cells(rows, width)
-            else:
-                cells = tokens.take(rows.astype(np.intp) * 2 + (0, 0, 1)).view(np.uint8)
-            lines = cells[cells != 0].tobytes()
+        for lines in _steps(-(-m // size), step, scratch):
             digest.update(lines)
             fh.write(lines)
     return digest.hexdigest()
@@ -498,7 +636,7 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-_READ_BYTES = 1 << 20  # each step of the parse takes about 9 bytes of scratch per byte
+_READ_BYTES = 1 << 20  # bytes in the steps of the parse that both workers hold
 _LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
 
 
@@ -507,40 +645,72 @@ def _parse_rows(raw: bytes, start: int, n: int):
     every line is three in-range decimal indices joined by single spaces;
     else None.
 
-    Reads about _READ_BYTES at a time, cut at line ends, into one array
-    with a row per line; each step's values are summed in int32 and then
-    stored.  A last line with no newline gets one appended to a copy of its
-    chunk alone.
+    Steps of about _READ_BYTES / 2, cut at line ends, are parsed two at a
+    time (_steps) into one array with a row per line, each step into the
+    rows after the lines before it.  A step works in scratch sized by its
+    known count of separators, three per line; its values are summed in
+    int32 and then stored.  A last line with no newline gets one appended
+    to a copy of its step alone.
     """
     end = len(raw)
     width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
-    unterminated = end > start and raw[-1:] != b"\n"
-    rows = np.empty((raw.count(b"\n", start) + unterminated, 3), dtype=row_dtype(n))
-    values = rows.reshape(-1)
-    done = 0
+    size = _share(_READ_BYTES)
+    most = size + 3 * width + 3  # a step holds at most one line past size, if it parses
+    bufs, firsts = [], [0]  # each step's bytes, and the lines before each step
     while start < end:
-        stop = raw.find(b"\n", min(start + _READ_BYTES, end) - 1) + 1 or end
+        stop = raw.find(b"\n", min(start + size, end) - 1) + 1 or end
         ended = raw[stop - 1 : stop] == b"\n"
-        buf = np.frombuffer(memoryview(raw)[start:stop] if ended else raw[start:stop] + b"\n", "u1")
+        lines = raw.count(b"\n", start, stop) + (not ended)
+        if stop - start > most or 6 * lines > stop - start + 1:  # a line too long or too short
+            return None
+        text = memoryview(raw)[start:stop] if ended else raw[start:stop] + b"\n"
+        bufs.append(np.frombuffer(text, "u1"))
+        firsts.append(firsts[-1] + lines)
         start = stop
-        seps = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
-        if seps.size % 3 or not np.array_equal(
-            buf[seps].reshape(-1, 3), np.broadcast_to(_LINE_SEPARATORS, (seps.size // 3, 3))
-        ):
-            return None
-        lengths = np.diff(seps, prepend=-1) - 1  # digits before each separator
+    rows = np.empty((firsts[-1], 3), dtype=row_dtype(n))
+    values = rows.reshape(-1)
+    most_bytes = max((buf.size for buf in bufs), default=0)
+    most_seps = 3 * max((b - a for a, b in zip(firsts, firsts[1:])), default=0)
+
+    def scratch():
+        return (np.empty((2, most_bytes), bool), np.empty(most_seps, np.intp),
+                np.empty((3, most_seps), np.int32), np.empty((2, most_seps), np.uint8))
+
+    def step(i, s):
+        buf, k = bufs[i], 3 * (firsts[i + 1] - firsts[i])
+        other, nondigit = s[0][:, : buf.size]
+        index = s[1][:k]
+        lengths, digit, total = s[2][:, :k]
+        found, hits = s[3][:, :k]
+        np.less(buf, ord("0"), out=nondigit)
+        nondigit |= np.greater(buf, ord("9"), out=other)
+        if np.count_nonzero(nondigit) != k:
+            return False
+        seps = np.flatnonzero(nondigit)  # k entries: the step's one new array
+        np.take(buf, seps, out=found, mode="clip")
+        if not np.equal(found.reshape(-1, 3), _LINE_SEPARATORS, out=hits.reshape(-1, 3)).all():
+            return False
+        lengths[0] = seps[0]  # the digits before each separator
+        np.subtract(seps[1:], seps[:-1], out=lengths[1:])
+        lengths[1:] -= 1
         if lengths.min() < 1 or lengths.max() > width:
-            return None
-        chunk = np.zeros(seps.size, dtype=np.int32)  # at most 9 digits each
-        for k in range(1, int(lengths.max()) + 1):  # add the k-th digit from the right
-            digit = buf[np.maximum(seps - k, 0)] - np.int32(ord("0"))
-            digit *= lengths >= k
-            digit *= 10 ** (k - 1)
-            chunk += digit
-        if chunk.max() >= n:
-            return None
-        values[done : done + seps.size] = chunk
-        done += seps.size
+            return False
+        total[:] = 0  # at most 9 digits each
+        for d in range(1, int(lengths.max()) + 1):  # add the d-th digit from the right
+            np.subtract(seps, d, out=index)
+            np.maximum(index, 0, out=index)
+            np.take(buf, index, out=found, mode="clip")
+            np.subtract(found, ord("0"), out=digit, dtype=np.int32)
+            digit *= np.greater_equal(lengths, d, out=hits)
+            digit *= 10 ** (d - 1)
+            total += digit
+        if total.max() >= n:
+            return False
+        values[3 * firsts[i] : 3 * firsts[i + 1]] = total
+        return True
+
+    if not all(_steps(len(bufs), step, scratch)):
+        return None
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows
 

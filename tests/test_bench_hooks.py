@@ -10,6 +10,7 @@ oracles, which share no code with stslab, so one pass of each runs here
 too.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -37,6 +38,41 @@ def test_traced_names_exist(monkeypatch):
         if not callable(vars(owner).get(name)):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def _called_names(node) -> set:
+    """The names a function body calls: f(...) gives f, x.f(...) gives f."""
+    out = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            fn = call.func
+            out.add(fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None))
+    return out
+
+
+def test_no_two_worker_step_reaches_a_traced_name(monkeypatch):
+    """The tracer keeps one span stack for the process, so no function the
+    helper thread runs (a nested `step` handed to system._steps) may call
+    a traced function, directly or through the module's own functions.  A
+    traced method counts by its name, and a traced __init__ by its class."""
+    traced = set()
+    for _, attr, *_ in _load(monkeypatch, "tracing").SPANS:
+        *classes, name = attr.split(".")
+        traced.add(classes[-1] if name == "__init__" else name)
+    reached = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "stslab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        steps = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "step"]
+        for step in steps:
+            seen, todo = set(), [step]
+            while todo:
+                names = _called_names(todo.pop()) - seen
+                seen |= names
+                todo += [functions[name] for name in names if name in functions]
+            reached[f"{path.name}:{step.lineno}"] = seen & traced
+    assert len(reached) >= 6, reached  # the scan, key build, unpack, writer, parser, nonspace
+    assert not any(reached.values()), reached
 
 
 def _run_workload(monkeypatch, tmp_path, setup_name: str) -> dict:

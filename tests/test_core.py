@@ -2,7 +2,12 @@
 
 import ast
 import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -39,13 +44,24 @@ from stslab import (
     validate_sts,
     write_system,
 )
+import stslab.pstss
 import stslab.system
 from stslab.constructions import random_sts
 from stslab.pstss import cyclic_pstss
-from stslab.system import _normalize, row_dtype
+from stslab.system import row_dtype
 
 
 FANO = base_sts(7)
+
+
+def _normalize(n, triples):
+    """The rows of the normal form alone."""
+    return stslab.system._normal_form(n, triples)[0]
+
+
+def _degrees(system):
+    """The number of triples through each point."""
+    return np.bincount(system.triples.ravel(), minlength=system.n)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +106,7 @@ def test_validate_pstss_examples():
     assert validate_pstss(PartialTripleSystem.from_triples(4, [(0, 1, 2)])).ok
     c = cyclic_pstss(3)
     assert validate_pstss(c.system).ok
-    degs = c.system.degrees()
+    degs = _degrees(c.system)
     assert set(int(d) for d in degs) == {1, 2}
 
 
@@ -473,7 +489,7 @@ def test_incidence_agrees_with_rows(system):
             if (p, q) not in covered:
                 assert third[p][q] == -1  # the diagonal and every uncovered pair
     assert sum(x >= 0 for row in third for x in row) == 6 * system.n_triples
-    assert [len(spokes) for spokes in inc.spoke_lists()] == list(system.degrees())
+    assert [len(spokes) for spokes in inc.spoke_lists()] == list(_degrees(system))
     for p, spokes in enumerate(inc.spoke_lists()):
         for q, r in spokes:
             assert q < r and third[p][q] == third[q][p] == r
@@ -910,6 +926,171 @@ def test_read_whitespace_variants_agree(tmp_path_factory, data):
     assert _read_outcome(path) == system
     assert _read_outcome(path, by_lines=True) == system
     assert _read_outcome(path, read_bytes=data.draw(st.sampled_from([1, 5, 64]))) == system
+
+
+# ---------------------------------------------------------------------------
+# the two workers of the array passes
+
+
+def _started_threads(monkeypatch) -> list:
+    """The names of the threads started from now on, in a list that grows."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _budgets(monkeypatch, budget):
+    for name in ("_CHUNK", "_READ_BYTES", "_WRITE_ROWS"):
+        monkeypatch.setattr(stslab.system, name, budget)
+
+
+def _pass_results(tmp_path, name):
+    """Every output of the four two-worker passes (and of the key build and
+    unpack of an unsorted input) on a few inputs, valid and not."""
+    rows = base_sts(31).triples  # 155 rows
+    rng = np.random.default_rng(5)
+    unsorted = rng.permutation(rows.astype(np.int32))[:, ::-1]
+    twice = np.vstack([rows[:80], rows[79:]])  # a pair covered twice, mid-array
+    repeated = rows.astype(np.int32)
+    repeated[120] = (4, 4, 9)
+    sparse = PartialTripleSystem(500, [(3 * i, 3 * i + 1, 499 - i) for i in range(40)])
+    out = {}
+    for label, given_rows in (("sorted", rows), ("unsorted", unsorted), ("twice", twice),
+                              ("repeated", repeated)):
+        arr = np.ascontiguousarray(given_rows, dtype=row_dtype(31))
+        out[label, "scan"] = stslab.system._scan_rows(arr, 31)
+        out[label, "rows"] = _normalize(31, given_rows).tolist()
+    for system in (base_sts(31), sparse):
+        path = tmp_path / f"{name}-{system.n}.sts"
+        digest = write_system(system, path)
+        out[system.n, "written"] = path.read_bytes(), digest
+        out[system.n, "read"] = read_system(path)
+    rep = replace_triples(boolean_space(6), cyclic_pstss(3).system)
+    out["nonspace"] = stslab.pstss.nonspace_triples(rep)
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 64])
+def test_two_worker_passes_match_one_step(tmp_path, monkeypatch, budget):
+    """With budgets so small that each pass takes many steps on two
+    workers, every result equals the one-step result, also when the
+    interpreter switches threads as often as it can."""
+    want = _pass_results(tmp_path, "one")
+    assert want[31, "written"][0].count(b"\n") == 156  # one step each: 155 rows < 2**16
+    _budgets(monkeypatch, budget)
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
+    started = _started_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _pass_results(tmp_path, "two") == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert started  # the passes ran on two workers
+
+
+def test_steps_raise_the_first_error_in_step_order():
+    """Whichever worker meets an error first, the one raised is that of
+    the first failing step, and no thread outlives the call."""
+    for bad in ((3, 4), (4, 3), (2, 6), (1, 5), (5, 6)):
+
+        def step(i, s):
+            if i in bad:
+                raise ValueError(i)
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            list(stslab.system._steps(8, step, lambda: None))
+        assert exc.value.args == (min(bad),), bad
+        assert threading.active_count() == before
+
+
+def test_two_worker_scan_raises_on_an_entry_past_n(monkeypatch):
+    monkeypatch.setattr(stslab.system, "_CHUNK", 4)  # steps of 2 rows
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
+    rows = base_sts(31).triples.copy()  # the row dtype: only the scan checks the range
+    rows[[7, 103]] = (0, 1, 31)  # steps 3 and 51, both the helper's
+    before = threading.active_count()
+    for cls in (PartialTripleSystem, TripleSystem):
+        with pytest.raises(ValueError, match="out of range"):
+            cls(31, rows)
+    assert threading.active_count() == before
+
+
+def test_two_worker_parse_falls_back_to_the_first_bad_line(tmp_path, monkeypatch):
+    """Two bad lines in different steps: the numpy parse gives up and the
+    line parser names the first, as it does with one step."""
+    lines = [" ".join(map(str, row)) for row in base_sts(31).triples.tolist()]
+    lines[30] = "0 1 x"
+    lines[140] = "0 1"
+    path = tmp_path / "bad.sts"
+    path.write_text("sts 31\n" + "\n".join(lines) + "\n")
+    want = _read_outcome(path)
+    assert want == f"FormatError: {path}:32: non-integer index"
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
+    before = threading.active_count()
+    for read_bytes in (1, 40, 512):
+        assert _read_outcome(path, read_bytes=read_bytes) == want, read_bytes
+    assert threading.active_count() == before
+
+
+def test_two_worker_write_that_fails_joins_its_helper(tmp_path, monkeypatch):
+    class Full(io.BytesIO):
+        def write(self, data):
+            if self.tell() > 100:
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(stslab.system, "_WRITE_ROWS", 8)
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
+    monkeypatch.setattr(stslab.system, "open", lambda path, mode: Full(), raising=False)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="No space"):
+        write_system(base_sts(31), tmp_path / "full.sts")
+    assert threading.active_count() == before
+
+
+def test_one_allowed_cpu_starts_no_thread(tmp_path, monkeypatch):
+    _budgets(monkeypatch, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert stslab.system._cpus() == 1
+    started = _started_threads(monkeypatch)
+    _pass_results(tmp_path, "one-cpu")
+    assert started == []
+
+
+def test_importing_stslab_loads_no_executor():
+    code = "import sys, stslab; assert 'concurrent.futures' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+def test_sorting_unsorted_rows_holds_the_keys_and_one_copy():
+    """Sorting an unsorted int32 array holds its uint16 cast and the int64
+    keys while it builds them, then the keys and the sorted rows: the cast
+    is let go before the keys are sorted, and the keys are unpacked in
+    place, with no temporary as large as the keys."""
+    space = boolean_space(11)
+    rows = np.random.default_rng(7).permutation(space.triples_array().astype(np.int32))[:, ::-1]
+    m = rows.shape[0]
+    tracemalloc.start()
+    try:
+        got = TripleSystem(space.n, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.triples.dtype == np.uint16 and not np.shares_memory(got.triples, rows)
+    bound = (6 + 8) * m + 16 * stslab.system._CHUNK  # 11.9 MB
+    assert peak < bound, f"{peak / 1e6:.1f} MB for {m} rows"
 
 
 # ---------------------------------------------------------------------------

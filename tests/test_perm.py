@@ -16,7 +16,6 @@ from stslab.perm import (
     inverse,
     is_permutation,
     orbit_of,
-    orbits_of,
 )
 
 
@@ -151,6 +150,18 @@ def test_from_base_matches_bruteforce_closure():
         assert (p in c5) == (p in group)
     assert c5.extend((1, 0, 2, 3, 4))  # extend re-closes a chain read off a base
     assert c5.order == 120
+
+
+def orbits_of(points, gens: list) -> list:
+    """Partition `points` into orbits under gens (restricted to those points)."""
+    remaining = set(points)
+    out = []
+    while remaining:
+        p = min(remaining)
+        orb = orbit_of(p, gens) & remaining
+        out.append(orb)
+        remaining -= orb
+    return out
 
 
 def test_orbit_functions():

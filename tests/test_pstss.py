@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_core import _lexsort_normalize
+from test_core import _degrees, _lexsort_normalize
 
 from stslab import (
     PartialTripleSystem,
@@ -30,12 +30,35 @@ from stslab import (
     validate_sts,
 )
 from stslab import pstss
-from stslab.pstss import BooleanSpace, _switch_rows, is_cyclic_pstss, nonspace_triples
+from stslab.pstss import BooleanSpace, _switch_rows, nonspace_triples
 from stslab.system import _CHUNK, _triple_keys
 
 
 # ---------------------------------------------------------------------------
 # cyclic systems
+
+
+def is_cyclic_pstss(ps) -> bool:
+    """Check the defining property: triples meeting pairwise form a cycle."""
+    triples = ps.triples.tolist()
+    k = len(triples)
+    if k < 3:
+        return False
+    adj = [[] for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if set(triples[i]) & set(triples[j]):
+                adj[i].append(j)
+                adj[j].append(i)
+    if any(len(a) != 2 for a in adj):
+        return False
+    seen = {0}
+    cur, prev = adj[0][0], 0
+    while cur != 0:
+        seen.add(cur)
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        prev, cur = cur, nxt
+    return len(seen) == k
 
 
 @pytest.mark.parametrize("t", [3, 4, 5, 8])
@@ -78,7 +101,7 @@ def test_build_q_size_contract():
 
 def test_gadget_anchor_degree():
     q = build_qr(2)
-    degs = q.system.degrees()
+    degs = _degrees(q.system)
     assert int(degs[q.z]) == 4  # shared by both components, twice each
     assert int(degs[q.zp]) == 1
 
