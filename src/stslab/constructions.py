@@ -232,21 +232,43 @@ def is_pg2_paired(ts: TripleSystem) -> bool:
 
 @dataclass(frozen=True)
 class CyclicLabeling:
-    """Bijection between Z_m (additive) and the points of Y - X.
+    """Bijection between Z_m (additive) and the points of Y - X: a point
+    order and a generator.
 
-    Residue 0 plays the multiplicative identity, m/2 the involution -1,
-    and y_star is the chosen generator.  The anchor flags record which of
-    the three anchor conditions the labeling actually satisfies; at desk
-    scale the strict generator condition and the anchor triples can be
-    unsatisfiable (see `label_per_p7`).
+    point_of[a] is the point of Y at residue a.  Residue 0 plays the
+    multiplicative identity, m/2 the involution -1, and y_star is the
+    chosen generator.  `p7a_strict` and `anchors(y)` report which of the
+    three anchor conditions the labeling satisfies; at desk scale the
+    strict generator condition and the anchor triples can be unsatisfiable
+    (see `label_per_p7`).
     """
 
-    m: int
     point_of: tuple  # residue -> point of Y (ambient index)
     y_star: int
-    p7a_strict: bool
-    p7b_anchor: bool
-    p7c_anchor: bool
+
+    @property
+    def m(self) -> int:
+        return len(self.point_of)
+
+    @property
+    def p7a_strict(self) -> bool:
+        """No nontrivial group automorphism maps a generator into its A6-coset.
+
+        Additively: no unit c != 1 with 6(c - 1) = 0 mod m (the condition
+        does not depend on the generator).
+        """
+        m = self.m
+        return not any(math.gcd(c, m) == 1 and 6 * (c - 1) % m == 0 for c in range(2, m))
+
+    def anchors(self, y: TripleSystem) -> tuple:
+        """(P7b, P7c): whether {w, w + m/2, y_star} is a triple of Y for
+        w = 0, and for both order-3 elements w = m/3, 2m/3."""
+        m, point_of, third = self.m, self.point_of, y.incidence.third
+
+        def is_anchor_triple(w):
+            return third.item(point_of[w], point_of[(w + m // 2) % m]) == point_of[self.y_star]
+
+        return is_anchor_triple(0), m % 3 == 0 and all(map(is_anchor_triple, (m // 3, 2 * m // 3)))
 
     def residue_of(self) -> dict:
         return {p: a for a, p in enumerate(self.point_of)}
@@ -259,45 +281,15 @@ class CyclicLabeling:
         return frozenset(range(0, self.m, step))
 
     def check(self, y: TripleSystem, x_points: PointSet) -> list:
+        """What makes the labeling unusable for X inside Y; empty if nothing."""
         problems = []
-        comp = sorted(set(range(y.n)) - set(x_points))
-        if self.m != len(comp):
-            problems.append("m does not match |Y| - |X|")
-            return problems
-        if sorted(self.point_of) != comp:
+        if sorted(self.point_of) != sorted(set(range(y.n)) - set(x_points)):
             problems.append("point_of is not a bijection onto Y - X")
         if x_points and self.m % 2 != 0:
             problems.append("cyclic group must have even order when X is nonempty")
-        if math.gcd(self.y_star, self.m) != 1:
-            problems.append(f"y_star = {self.y_star} does not generate Z_{self.m}")
-        if self.p7a_strict and not _p7a_holds(self.m):
-            problems.append("strict generator condition flagged but violated")
-        third = y.incidence.third
-        m = self.m
-        point_of = self.point_of
-
-        def is_anchor_triple(w):  # {w, w + m/2, y_star} is a triple of Y
-            return third.item(point_of[w], point_of[(w + m // 2) % m]) == point_of[self.y_star]
-
-        if self.p7b_anchor and not is_anchor_triple(0):
-            problems.append("anchor triple {1, -1, y_star} is not a triple of Y")
-        if self.p7c_anchor:
-            for w in (m // 3, 2 * m // 3):
-                if not is_anchor_triple(w):
-                    problems.append(f"anchor triple for order-3 element {w} missing")
+        if not (0 <= self.y_star < self.m and math.gcd(self.y_star, self.m) == 1):
+            problems.append(f"y_star = {self.y_star} is not a unit of Z_{self.m}")
         return problems
-
-
-def _p7a_holds(m: int) -> bool:
-    """No nontrivial group automorphism maps a generator into its A6-coset.
-
-    Additively: no unit c != 1 with 6(c - 1) = 0 mod m (the condition does
-    not depend on the generator).
-    """
-    for c in range(2, m):
-        if math.gcd(c, m) == 1 and (6 * (c - 1)) % m == 0:
-            return False
-    return True
 
 
 class LabelingError(ConstructionError):
@@ -310,7 +302,7 @@ def label_per_p7(y: TripleSystem, x_points) -> CyclicLabeling:
     The generator condition and the anchor triples are unsatisfiable for
     some small groups (e.g. no triple of Y may lie inside Y - X, or the
     6-torsion subgroup may be all of Z_m); such anchors are skipped, and
-    the flags of the result say which conditions hold.
+    `p7a_strict` and `anchors(y)` of the result say which conditions hold.
     """
     x_points = frozenset(x_points)
     if not is_subsystem(y, x_points):
@@ -322,60 +314,27 @@ def label_per_p7(y: TripleSystem, x_points) -> CyclicLabeling:
     if m < 2:
         raise LabelingError(f"the labeling needs at least 2 points in Y - X, got {m}")
 
-    p7a = _p7a_holds(m)
     units = [g for g in range(1, m) if math.gcd(g, m) == 1]
-    want_c = m % 3 == 0 and m >= 6
-    omega_residues = (
-        {m // 3, m // 3 + m // 2, 2 * m // 3, (2 * m // 3 + m // 2) % m}
-        if want_c
-        else set()
-    )
+    order3 = (m // 3, 2 * m // 3) if m % 3 == 0 and m >= 6 else ()
+    omega = {(w + h) % m for w in order3 for h in (0, m // 2)}
+    # a generator off the anchors, unless in tiny groups every unit is one
+    y_star = next((g for g in units if g not in omega and g != m // 2), units[0])
+    w_anchor = (0, *order3) if order3 and y_star not in omega else (0,)
 
-    gen_candidates = [
-        g for g in units if g not in omega_residues and g not in (0, m // 2)
-    ]
-    if not gen_candidates:
-        gen_candidates = units  # tiny groups where generators are all anchors
-
-    assignment = None  # residue -> point, partial
-    y_star = gen_candidates[0]
-    flags = (False, False)
     comp_set = set(comp)
     spokes = y.incidence.spoke_lists()
-    for r in comp:
-        # the pairs completing the triples through r inside Y - X
-        cands = [(q, s) for q, s in spokes[r] if q in comp_set and s in comp_set]
-        if not cands:
-            continue
-        g = gen_candidates[0]
-        base = {g: r}
-        base[0], base[m // 2] = cands[0]
-        if want_c and len(cands) >= 3 and g not in omega_residues:
-            base[m // 3], base[m // 3 + m // 2] = cands[1]
-            base[2 * m // 3], base[(2 * m // 3 + m // 2) % m] = cands[2]
-            assignment, y_star, flags = base, g, (True, True)
-            break
-        if assignment is None:
-            assignment, y_star, flags = base, g, (True, False)
-            if not want_c:
-                break
-    if assignment is None:
-        assignment = {}
-
-    used_pts = set(assignment.values())
-    free_pts = [p for p in comp if p not in used_pts]
-    free_res = [a for a in range(m) if a not in assignment]
-    for a, p in zip(free_res, free_pts):
-        assignment[a] = p
-    point_of = tuple(assignment[a] for a in range(m))
-    return CyclicLabeling(
-        m=m,
-        point_of=point_of,
-        y_star=y_star,
-        p7a_strict=p7a,
-        p7b_anchor=flags[0],
-        p7c_anchor=flags[1],
-    )
+    # the pairs completing the triples through r inside Y - X
+    inside = {r: [(q, s) for q, s in spokes[r] if q in comp_set and s in comp_set] for r in comp}
+    # y_star goes to the first r with all its anchors, else the first with one
+    r = max(comp, key=lambda r: (len(inside[r]) >= len(w_anchor), len(inside[r]) > 0))
+    if len(inside[r]) < len(w_anchor):
+        w_anchor = (0,)
+    anchored = {y_star: r} if inside[r] else {}
+    for w, (q, s) in zip(w_anchor, inside[r]):
+        anchored[w], anchored[(w + m // 2) % m] = q, s
+    free = iter([p for p in comp if p not in anchored.values()])
+    point_of = tuple(anchored[a] if a in anchored else next(free) for a in range(m))
+    return CyclicLabeling(point_of, y_star)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +375,6 @@ class MooreInput:
     def u_size(self) -> int:
         return len(self.x_points) + self.v.n * self.m
 
-    def x_index(self) -> dict:
-        """Y-point -> U-index for the points of X."""
-        return {p: i for i, p in enumerate(self.x_sorted)}
-
     def u_point(self, v: int, a: int) -> int:
         return len(self.x_points) + v * self.m + a
 
@@ -446,10 +401,9 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
 
     sigma, a residue permutation, twists the (M3) product triples.
     """
-    lab = inp.labeling
-    m = lab.m
-    xi = inp.x_index()
-    res = lab.residue_of()
+    m = inp.m
+    xi = {p: i for i, p in enumerate(inp.x_sorted)}  # Y-point of X -> U-index
+    res = inp.labeling.residue_of()
     blocks = []
     u_base = len(inp.x_points) + np.arange(inp.v.n, dtype=np.int32)[:, None] * m
     for t in inp.y.triples.tolist():
@@ -502,11 +456,9 @@ def lift_v_automorphism(inp: MooreInput, g) -> tuple:
     g = tuple(g)
     if sorted(g) != list(range(inp.v.n)):
         raise ConstructionError(f"g is not a permutation of 0..{inp.v.n - 1}")
-    out = list(range(inp.u_size))
-    for v in range(inp.v.n):
-        for a in range(inp.m):
-            out[inp.u_point(v, a)] = inp.u_point(g[v], a)
-    return tuple(out)
+    # row v: the slice of g(v)
+    slices = inp.u_point(np.array(g, dtype=np.int64)[:, None], np.arange(inp.m))
+    return (*range(len(inp.x_points)), *slices.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,7 @@ def _match_type31(inp: MooreInput, x_point: int, pairs: list):
 
 def yv_subsystem(inp: MooreInput, v: int) -> PointSet:
     """The closed point set X union ({v} x A), as U-indices."""
-    xi = inp.x_index()
-    pts = set(xi.values())
-    for a in range(inp.m):
-        pts.add(inp.u_point(v, a))
-    return frozenset(pts)
+    return frozenset([*range(len(inp.x_points)), *range(inp.u_point(v, 0), inp.u_point(v, inp.m))])
 
 
 def all_vsf(inp: MooreInput) -> list:

@@ -21,26 +21,9 @@ class ParameterError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to sqrt(n): exact, and `choose_K` only asks about
+    small exponents."""
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def choose_K(v1: int, v2: int) -> tuple:
@@ -159,11 +142,14 @@ class ParameterSolution:
         problems = []
         d, r, K, t, a, v = self.delta, self.r, self.K, self.t, self.a, self.v_choice
         try:
-            _check_delta_r(d, r, K)
+            if self.delta_offset != delta_of(d, r, K, v):
+                problems.append("offset formula violated")
         except ParameterError as e:
             problems.append(str(e))
         if K != (1 << self.k) - 1 or (K != 1 and K % 24 != 7):
             problems.append("K is neither 1 nor a Mersenne number = 7 mod 24")
+        if any(w % 2 == 0 or w < 3 for w in (self.v1, self.v2)):
+            problems.append("component orders must be odd and >= 3")
         if v not in (self.v1, self.v2):
             problems.append("v_choice is neither component order")
         if not (a > t >= 0):
@@ -172,8 +158,6 @@ class ParameterSolution:
             problems.append("x formula violated")
         if self.y != K * (-1 + 8 * 24 * K * a + 24 * t):
             problems.append("y formula violated")
-        if self.delta_offset != delta_of(d, r, K, v):
-            problems.append("offset formula violated")
         if self.u != self.x + v * (self.y - self.x):
             problems.append("u != x + v(y - x)")
         if self.u != self.delta_offset + 8 * 24 * K * K * v * a + 24 * K * t:

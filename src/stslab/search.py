@@ -192,7 +192,6 @@ class _SearchData:
         self.third = system.incidence.third
         self.spokes = system.incidence.spoke_lists()
         self.triples = system.triples
-        self.rows = system.triples.tolist()  # for the automorphism check
         self.budget = node_budget(budget)
         self.stats = SearchStats()
         self.best_key = None
@@ -283,14 +282,11 @@ def _target_cell(colors: tuple) -> list:
     return cells[min(sizes)[1]] if sizes else []
 
 
-def _maps_into(triples, third: np.ndarray, p) -> bool:
-    """True iff the permutation p sends every triple of `triples` to a
-    triple of the system whose third-point table is `third`."""
-    cell = third.item  # one Python int per lookup
-    for a, b, c in triples:
-        if cell(p[a], p[b]) != p[c]:
-            return False
-    return True
+def _maps_into(triples: np.ndarray, third: np.ndarray, p) -> bool:
+    """True iff the permutation p sends every row of `triples` to a triple
+    of the system whose third-point table is `third`: one gather."""
+    a, b, c = np.asarray(p, dtype=np.intp)[triples.T]
+    return bool(np.array_equal(third[a, b], c))
 
 
 def is_automorphism(system, p) -> bool:
@@ -298,7 +294,7 @@ def is_automorphism(system, p) -> bool:
     p = tuple(p)
     if len(p) != system.n or not pm.is_permutation(p):
         return False
-    return _maps_into(system.triples.tolist(), system.incidence.third, p)
+    return _maps_into(system.triples, system.incidence.third, p)
 
 
 def _leaf_key(data: _SearchData, colors: tuple) -> bytes:
@@ -339,7 +335,7 @@ def _canon_dfs(data: _SearchData, seq: tuple, parent: tuple, compare: bool) -> i
             # automorphism fixing the common prefix of the two sequences
             inv_best = pm.inverse(data.best_colors)
             g = tuple(inv_best[colors[p]] for p in range(data.n))
-            if not _maps_into(data.rows, data.third, g):
+            if not _maps_into(data.triples, data.third, g):
                 raise VerificationError("equal-key leaves gave a non-automorphism")
             data.auts.append(g)
             common = 0
@@ -427,6 +423,6 @@ def are_isomorphic(a, b, budget: int | None = None) -> IsoCertificate:
         return IsoCertificate(False)
     inv_b = pm.inverse(cb.labeling)
     mapping = tuple(inv_b[label] for label in ca.labeling)
-    if not _maps_into(a.triples.tolist(), b.incidence.third, mapping):
+    if not _maps_into(a.triples, b.incidence.third, mapping):
         raise VerificationError("canonical labelings disagree")
     return IsoCertificate(True, mapping=mapping)

@@ -234,6 +234,19 @@ def test_solve_params_roundtrip(tmp_path, capsys):
     assert "certificate ok" in capsys.readouterr().out
 
 
+def test_solve_params_check_prints_the_violations(tmp_path, capsys):
+    from stslab import choose_K, global_threshold, solve_order
+
+    _, K = choose_K(3, 9)
+    u = global_threshold(3, 9, K)
+    sol = solve_order(u + (1 - u) % 6, 3, 9)
+    cert = tmp_path / "cert.txt"
+    cert.write_text(dataclasses.replace(sol, x=sol.x + 24).to_text())
+    assert _run("solve-params", "--check", str(cert)) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["x formula violated", "u != x + v(y - x)"]
+
+
 def test_solve_params_usage_and_failure(tmp_path, capsys):
     assert _run("solve-params") == EXIT_USAGE
     assert _run("solve-params", "--u", "25", "--v1", "3", "--v2", "9") == EXIT_VALIDATION

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,11 +269,51 @@ def test_labeling_m12_anchors():
 
 def test_labeling_flags_unsatisfiable_conditions():
     """Z_8 has a unit c = 5 with 6(c - 1) = 0, and the anchors are skipped;
-    the labeling is still valid and its flags say so."""
+    the labeling is still valid and its verdicts say so."""
     y = double(base_sts(7))
     lab = label_per_p7(y, range(7))
-    assert (lab.p7a_strict, lab.p7b_anchor, lab.p7c_anchor) == (False, False, False)
+    assert (lab.p7a_strict, *lab.anchors(y)) == (False, False, False)
     assert not lab.check(y, frozenset(range(7)))
+
+
+T, F = True, False
+
+
+@pytest.mark.parametrize("x, y, verdicts", [
+    (1, 3, (T, F, F)),
+    (1, 7, (F, T, F)), (1, 9, (F, T, F)), (3, 9, (F, T, F)),
+    (1, 13, (F, T, T)), (3, 15, (F, T, T)),
+    (1, 15, (T, T, F)), (3, 13, (T, T, F)),
+    (3, 7, (F, F, F)), (7, 15, (F, F, F)),
+])
+def test_labeling_p7_verdicts(x, y, verdicts):
+    """(P7a, P7b, P7c) of the labeling on every toolbox pair with x >= 1 and
+    y <= 15, as the labeling once stored them."""
+    ysys, xset = embed_subsystem(x, y)
+    lab = label_per_p7(ysys, xset)
+    assert (lab.p7a_strict, *lab.anchors(ysys)) == verdicts
+
+
+@pytest.mark.parametrize("case", [
+    "missing_point", "repeated_point", "odd_m",
+    "y_star_not_a_unit", "y_star_m_plus_1", "y_star_negative", "x_not_closed",
+])
+def test_moore_input_refuses_a_bad_labeling(case):
+    y, x = embed_subsystem(1, 13)  # m = 12
+    lab = label_per_p7(y, x)
+    pts = lab.point_of
+    bad = {  # case -> (X, the labeling, the problem named)
+        "missing_point": (x, replace(lab, point_of=pts[:-2]), "not a bijection onto Y - X"),
+        "repeated_point": (x, replace(lab, point_of=pts[:-1] + pts[:1]), "not a bijection"),
+        "odd_m": (x, replace(lab, point_of=pts[:-1]), "must have even order"),
+        "y_star_not_a_unit": (x, replace(lab, y_star=2), "y_star = 2 is not a unit of Z_12"),
+        "y_star_m_plus_1": (x, replace(lab, y_star=13), "y_star = 13 is not a unit of Z_12"),
+        "y_star_negative": (x, replace(lab, y_star=-1), "y_star = -1 is not a unit of Z_12"),
+        "x_not_closed": (x | {pts[0]}, lab, "X is not a closed subsystem"),
+    }
+    x_points, labeling, problem = bad[case]
+    with pytest.raises(ConstructionError, match=problem):
+        MooreInput(y, x_points, base_sts(3), labeling)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +396,7 @@ def _moore_triples_loop(inp, sigma=None):
     """The per-triple loop that built the (M3) block before broadcasting."""
     lab = inp.labeling
     m = lab.m
-    xi = inp.x_index()
+    xi = {p: i for i, p in enumerate(sorted(inp.x_points))}  # X's points come first in U
     res = lab.residue_of()
     sig = (lambda a: sigma[a]) if sigma is not None else (lambda a: a)
     triples = []

@@ -1128,6 +1128,11 @@ def test_is_automorphism_basics():
     swap[0], swap[1] = 1, 0
     # a bare transposition does not preserve the triples
     assert not is_automorphism(FANO, tuple(swap))
+    # the wrong length, and a map that is no permutation, are refused
+    assert not is_automorphism(FANO, tuple(range(n + 1)))
+    assert not is_automorphism(FANO, (0,) * n)
+    group = automorphism_group(FANO)
+    assert tuple(range(n)) in group and tuple(range(n + 1)) not in group
 
 
 def _relabel(ts, perm):

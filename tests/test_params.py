@@ -1,5 +1,6 @@
 """Exact big-integer order arithmetic."""
 
+import dataclasses
 import math
 
 import pytest
@@ -19,7 +20,7 @@ from stslab import (
     solve_order,
     threshold,
 )
-from stslab.params import ADMISSIBLE_DELTAS
+from stslab.params import ADMISSIBLE_DELTAS, _is_prime
 
 
 def test_admissible_deltas():
@@ -118,16 +119,43 @@ def test_certificate_roundtrip():
     assert again.check() == []
 
 
-def test_certificate_check_catches_tampering():
+# field -> (its tampered value, given the solution; the violation it names)
+_TAMPERED = {
+    "u": (lambda s: s.u + 1, "u is not an admissible order"),
+    "v1": (lambda s: 4, "component orders must be odd and >= 3"),
+    "v2": (lambda s: s.v2 + 24, "v_choice is neither component order"),
+    "k": (lambda s: s.k + 1, "K is neither 1 nor a Mersenne number = 7 mod 24"),
+    "K": (lambda s: s.K + 24, "K is neither 1 nor a Mersenne number = 7 mod 24"),
+    "delta": (lambda s: s.delta + 24, "delta must be in"),
+    "r": (lambda s: s.K, "need 0 <= r < K"),
+    "t": (lambda s: s.a, "need a > t >= 0"),
+    "a": (lambda s: s.a - 1, "need a >= 8K*v2"),
+    "v_choice": (lambda s: s.v_choice + 24, "v_choice is neither component order"),
+    "x": (lambda s: s.x + 24, "x formula violated"),
+    "y": (lambda s: s.y + 24, "y formula violated"),
+    "delta_offset": (lambda s: s.delta_offset + 24, "offset formula violated"),
+    "branch": (lambda s: "y mod 8 = 9", "branch tag does not match y"),
+}
+
+
+@pytest.mark.parametrize("field", _TAMPERED)
+def test_certificate_check_catches_tampering(field):
     v1, v2 = 3, 9
     _, K = choose_K(v1, v2)
     u = global_threshold(v1, v2, K)
     u += (1 - u) % 6
     sol = solve_order(u, v1, v2)
-    import dataclasses
+    tamper, violation = _TAMPERED[field]
+    bad = dataclasses.replace(sol, **{field: tamper(sol)})
+    assert any(p.startswith(violation) for p in bad.check())
 
-    bad = dataclasses.replace(sol, x=sol.x + 24)
-    assert bad.check()
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 9998
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [_is_prime(k) for k in range(10_000)] == sieve
 
 
 def test_certificate_parse_errors():
