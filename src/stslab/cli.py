@@ -205,7 +205,7 @@ def cmd_solve_params(args) -> int:
 def cmd_embed_pstss(args) -> int:
     if args.mode == "theorem13":
         attached = attach_gadgets(read_system(args.input))
-        rep = replace_triples(boolean_space(attached.system.n), attached.system)
+        rep = replace_triples(boolean_space(attached.n), attached)
         names = [f"subset {i + 1:b}" for i in range(rep.system.n)]
         _write_outputs(rep.system, args, args.output, names)
         print(
@@ -219,10 +219,10 @@ def cmd_embed_pstss(args) -> int:
         v = _load_sts(args.other)
         res = corollary46_build(v, w)
         names = [
-            f"w:{i}" if i < w.n else f"gadget:{i}" for i in range(res.wprime.system.n)
+            f"w:{i}" if i < w.n else f"gadget:{i}" for i in range(res.n - v.n)
         ] + [f"v:{i}" for i in range(v.n)]
-        _write_outputs(res.combined, args, args.output, names)
-        print(f"wrote {args.output}: {res.combined.n} points (pstss)")
+        _write_outputs(res, args, args.output, names)
+        print(f"wrote {args.output}: {res.n} points (pstss)")
     else:  # cor47; argparse restricts the modes
         if args.v1 is None:
             raise CliError("--mode cor47 needs --v1", EXIT_USAGE)
@@ -233,10 +233,10 @@ def cmd_embed_pstss(args) -> int:
             raise CliError("--v1 must be a comma-separated point list", EXIT_USAGE)
         res = corollary47_build(v, v1)
         names = [f"v:{i}" for i in range(v.n)]
-        names += [f"{x}'" for x in res.v1_points]
+        names += [f"{x}'" for x in sorted(v1)]
         names += ["z"]
-        _write_outputs(res.system, args, args.output, names)
-        print(f"wrote {args.output}: {res.system.n} points (pstss)")
+        _write_outputs(res, args, args.output, names)
+        print(f"wrote {args.output}: {res.n} points (pstss)")
     return EXIT_OK
 
 

@@ -150,6 +150,8 @@ class ParameterSolution:
             problems.append("K is neither 1 nor a Mersenne number = 7 mod 24")
         if any(w % 2 == 0 or w < 3 for w in (self.v1, self.v2)):
             problems.append("component orders must be odd and >= 3")
+        if math.gcd(K, (self.v1 - 1) * (self.v2 - 1)) != 1:
+            problems.append("K shares a factor with v1 - 1 or v2 - 1")
         if v not in (self.v1, self.v2):
             problems.append("v_choice is neither component order")
         if not (a > t >= 0):

@@ -9,7 +9,6 @@ resulting Steiner system U remembers V' exactly.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,10 +43,6 @@ class CyclicPstss:
     t: int
     system: PartialTripleSystem
 
-    @property
-    def n(self) -> int:
-        return 2 * self.t
-
 
 def cyclic_pstss(t: int) -> CyclicPstss:
     """Canonical cycle of t triples on 2t points.
@@ -67,56 +62,31 @@ def cyclic_pstss(t: int) -> CyclicPstss:
 # The rigid gadget
 
 
-@dataclass(frozen=True)
-class GadgetQ:
-    """Two cyclic systems sharing the anchor z, plus one pendant triple.
-
-    The components have 2r+4 and 2r+6 points, so the gadget has 4r+10;
-    distinct component sizes and the pendant triple leave no symmetry.
-    """
-
-    r: int
-    system: PartialTripleSystem
-    z: int
-    zp: int  # the pendant point
-
-    @property
-    def n(self) -> int:
-        return 4 * self.r + 10
-
-
-def build_qr(r: int) -> GadgetQ:
+def build_qr(r: int) -> PartialTripleSystem:
     """Gadget with component sizes 2r+4 and 2r+6 on 4r+10 points: two
-    cycles sharing z = 0 (point i > 0 of the second at 2r+3+i), and the
-    pendant triple {2, 2r+5, zp = 4r+9}."""
+    cycles sharing the anchor 0 (point i > 0 of the second at 2r+3+i),
+    and the pendant triple {2, 2r+5, 4r+9}, whose pendant point is the
+    last.  Distinct component sizes and the pendant triple leave no
+    symmetry."""
     if r < 1:
         raise PstssError(f"gadget parameter must be >= 1, got {r}")
     n1, n2 = 2 * r + 4, 2 * r + 6
     c1 = cyclic_pstss(n1 // 2).system.triples
     c2 = cyclic_pstss(n2 // 2).system.triples
     c2 = np.where(c2 == 0, 0, c2.astype(np.int32) + (n1 - 1))
-    zp = n1 + n2 - 1
-    extra = np.array([[2, n1 + 1, zp]], dtype=np.int32)
-    system = PartialTripleSystem(4 * r + 10, np.concatenate([c1, c2, extra]))
-    return GadgetQ(r=r, system=system, z=0, zp=zp)
+    extra = np.array([[2, n1 + 1, n1 + n2 - 1]], dtype=np.int32)
+    return PartialTripleSystem(4 * r + 10, np.concatenate([c1, c2, extra]))
 
 
 # ---------------------------------------------------------------------------
 # Attachment
 
 
-@dataclass(frozen=True)
-class AttachedSystem:
-    system: PartialTripleSystem
-    base_n: int  # points 0..base_n-1 are the original system
-    gadget_r: tuple  # per base point: the gadget parameter used
-
-
-def _attach(v, rs: list) -> AttachedSystem:
+def _attach(v, rs: list) -> PartialTripleSystem:
     """Attach one gadget per point, gadget k using parameter rs[k].
 
-    Point layout: the base points first, then each gadget's non-anchor
-    points as one block, in base-point order.
+    Point layout: the base points 0..v.n-1 first, then each gadget's
+    non-anchor points as one block, in base-point order.
     """
     n = v.n
     blocks = [v.triples]
@@ -124,22 +94,21 @@ def _attach(v, rs: list) -> AttachedSystem:
     gadgets = {r: build_qr(r) for r in dict.fromkeys(rs)}
     for p in range(n):
         q = gadgets[rs[p]]
-        local = np.arange(q.n)
-        relabel = next_free + local - (local > q.z)
-        relabel[q.z] = p
-        blocks.append(relabel[q.system.triples])
+        relabel = np.arange(next_free - 1, next_free + q.n - 1)
+        relabel[0] = p  # the anchor
+        blocks.append(relabel[q.triples])
         next_free += q.n - 1
-    system = PartialTripleSystem(next_free, np.concatenate(blocks))
-    return AttachedSystem(system=system, base_n=n, gadget_r=tuple(rs))
+    return PartialTripleSystem(next_free, np.concatenate(blocks))
 
 
-def attach_gadgets(v) -> AttachedSystem:
-    """One identical gadget per point: 4n^2 + 10n points, same symmetry."""
+def attach_gadgets(v) -> PartialTripleSystem:
+    """One identical gadget per point: 4n^2 + 10n points, same symmetry;
+    points 0..v.n-1 are v's."""
     if v.n < 1:
         raise PstssError("need at least one point")
     out = _attach(v, [v.n] * v.n)
-    if out.system.n != 4 * v.n * v.n + 10 * v.n:
-        raise VerificationError(f"attached system has {out.system.n} points")
+    if out.n != 4 * v.n * v.n + 10 * v.n:
+        raise VerificationError(f"attached system has {out.n} points")
     return out
 
 
@@ -365,45 +334,34 @@ def _closed_u_set(rep: ReplacedSystem, pts: frozenset, x: int, y: int, z: int) -
     return True
 
 
-_LINE_SAMPLES = 24  # third points sampled per line
-
-
 def reconstruct_line(rep: ReplacedSystem, x: int, y: int) -> frozenset:
     """Recover the space line through x and y from the switched system.
 
-    Samples third points p, forms the closed 7-sets, and intersects two
-    distinct ones; their common part is the line.  The samples are drawn
-    from a generator seeded by x and y alone, so the answer is reproducible.
+    Tries every third point p in ascending order, forms the closed
+    7-sets, and intersects the first two distinct ones; their common
+    part is the line.
     """
     n = rep.system.n
     if x == y:
         raise PstssError("need two distinct points")
     if not (0 <= x < n and 0 <= y < n):
         raise PstssError(f"line points must lie in 0..{n - 1}, got {x}, {y}")
-    rng = random.Random(f"0,{x},{y}")
-    found: dict = {}
-    tried = 0
-    while tried < _LINE_SAMPLES:
-        p = rng.randrange(n)
+    found = set()
+    for p in range(n):
         if p in (x, y):
             continue
-        tried += 1
         got = _u_set(rep, p, x, y)
-        if got is None:
-            continue
-        pts, z = got
-        if not _closed_u_set(rep, pts, x, y, z):
-            continue
-        found.setdefault(pts, z)
-        if len(found) >= 2:
-            sets = list(found)
-            inter = sets[0] & sets[1]
-            if len(inter) == 3:
-                return frozenset(inter)
-    raise PstssError(
-        f"could not reconstruct the line through {x}, {y}: "
-        f"only {len(found)} valid sample sets in {_LINE_SAMPLES} samples"
-    )
+        if got is not None and _closed_u_set(rep, got[0], x, y, got[1]):
+            found.add(got[0])
+            if len(found) == 2:
+                break
+    line = frozenset.intersection(*found) if len(found) == 2 else frozenset()
+    if len(line) != 3:
+        raise PstssError(
+            f"could not reconstruct the line through {x}, {y} "
+            f"from {len(found)} distinct closed 7-sets"
+        )
+    return line
 
 
 def recover_vprime(rep: ReplacedSystem) -> PointSet:
@@ -430,16 +388,9 @@ def recover_vprime(rep: ReplacedSystem) -> PointSet:
 # Corollary builders
 
 
-@dataclass(frozen=True)
-class Corollary46Result:
-    """W decorated with distinct-size gadgets, next to an untouched V."""
-
-    wprime: AttachedSystem
-    combined: PartialTripleSystem  # W' on 0..|W'|-1, then the V copy
-
-
-def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
-    """Rigidify W with distinct gadget sizes, then adjoin V disjointly.
+def corollary46_build(v: TripleSystem, w: TripleSystem) -> PartialTripleSystem:
+    """Rigidify W with distinct gadget sizes, then adjoin V disjointly:
+    W' is the first |W'| points of the result, and the V copy its last v.n.
 
     Gadget k on the k-th point of W uses parameter k|W|·rounds, so no
     two gadgets are isomorphic.  W' has n + Σ_k (4 r_k + 9) points, that
@@ -451,19 +402,13 @@ def corollary46_build(v: TripleSystem, w: TripleSystem) -> Corollary46Result:
         raise PstssError("W needs at least one point")
     rounds = max(1, (v.n - 10 * n) // (2 * n * n * (n + 1)) + 1)
     wprime = _attach(w, [(k + 1) * n * rounds for k in range(n)])
-    off = wprime.system.n
-    triples = np.concatenate([wprime.system.triples, v.triples.astype(np.int64) + off])
-    return Corollary46Result(wprime=wprime, combined=PartialTripleSystem(off + v.n, triples))
+    triples = np.concatenate([wprime.triples, v.triples.astype(np.int64) + wprime.n])
+    return PartialTripleSystem(wprime.n + v.n, triples)
 
 
-@dataclass(frozen=True)
-class Corollary47Result:
-    system: PartialTripleSystem
-    v1_points: tuple  # x in order; x' is v.n + i for the i-th, and z is last
-
-
-def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
-    """Mark the subsystem v1 by pendant triples x, x', z.
+def corollary47_build(v: TripleSystem, v1) -> PartialTripleSystem:
+    """Mark the subsystem v1 by pendant triples x, x', z: x' is point
+    v.n + i for the i-th point x of sorted(v1), and z is the last point.
 
     The symmetry of the result is the set-stabilizer of v1 in the
     symmetry of v.
@@ -479,5 +424,4 @@ def corollary47_build(v: TripleSystem, v1) -> Corollary47Result:
     z = v.n + len(order)
     x = np.array(order, dtype=np.int64)
     pendant = np.stack([x, v.n + np.arange(x.size), np.full(x.size, z)], axis=1)
-    system = PartialTripleSystem(z + 1, np.concatenate([v.triples, pendant]))
-    return Corollary47Result(system=system, v1_points=tuple(order))
+    return PartialTripleSystem(z + 1, np.concatenate([v.triples, pendant]))

@@ -574,14 +574,14 @@ def _built_from_systems(family):
     elif family == "direct_product":
         yield from (direct_product(base_sts(a), base_sts(b)) for a in _BASE for b in _BASE)
     elif family == "attach_gadgets":
-        yield from (attach_gadgets(base_sts(n)).system for n in _BASE)
+        yield from (attach_gadgets(base_sts(n)) for n in _BASE)
     elif family == "corollary46_build":
         for v in _BASE:
-            yield from (corollary46_build(base_sts(v), base_sts(w)).combined for w in _BASE)
+            yield from (corollary46_build(base_sts(v), base_sts(w)) for w in _BASE)
     elif family == "corollary47_build":
         for v in (base_sts(7), pg_sts(3)):
-            yield corollary47_build(v, v.triples[0].tolist()).system
-        yield corollary47_build(pg_sts(3), span(pg_sts(3), {0, 1, 3})).system
+            yield corollary47_build(v, v.triples[0].tolist())
+        yield corollary47_build(pg_sts(3), span(pg_sts(3), {0, 1, 3}))
     elif family == "paired_via_design":
         for d in (base_sts(7), base_sts(9), pg_sts(3)):
             yield paired_via_design(base_sts(7), _design_of(d))

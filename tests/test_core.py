@@ -1309,6 +1309,24 @@ def test_only_the_system_module_builds_the_incidence():
         pg_sts(3).incidence.third[0, 1] = 5
 
 
+def _draws_random_numbers(node) -> bool:
+    """An import of the random module, or a .random attribute such as
+    numpy's generator module."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "random" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and node.module.split(".")[0] == "random"
+    return isinstance(node, ast.Attribute) and node.attr == "random"
+
+
+def test_only_the_constructions_module_draws_random_numbers():
+    """Every answer of the library is exact: line reconstruction scans
+    every third point rather than sampling.  The seeded hill climber and
+    rigid search of `constructions.py` are its only randomness."""
+    found = _library_sites(_draws_random_numbers)
+    assert found and {site.split(":")[0] for site in found} == {"constructions.py"}, found
+
+
 def _evaluates_xor(node) -> bool:
     return (
         isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor)

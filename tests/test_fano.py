@@ -291,7 +291,7 @@ def _without_first_triple(ts):
     "make",
     [
         lambda: cyclic_pstss(5).system,
-        lambda: attach_gadgets(PartialTripleSystem(1, [])).system,
+        lambda: attach_gadgets(PartialTripleSystem(1, [])),
         lambda: _without_first_triple(moore(_inp(1, 7, 3))),
         lambda: _without_first_triple(pg_sts(3)),
     ],
@@ -348,6 +348,43 @@ def test_classify_rejects_non_fano():
         classify_fano(inp, (0, 1, 2))
 
 
+_NOT_VSF = "7 distinct slices but not a 6-torsion graph"
+_UNCLASSIFIABLE = "unclassifiable 7-point subsystem"
+
+
+@pytest.mark.parametrize(
+    "slices,violation",
+    [
+        # seven slices, no X point: f(0) = 1 lies outside the 6-torsion {0, 2, ..., 10}
+        ({0: [1], **{v: [0] for v in range(1, 7)}}, _NOT_VSF),
+        # f in the 6-torsion, but it sums to 2 on the V-triples through 0
+        ({0: [2], **{v: [0] for v in range(1, 7)}}, _NOT_VSF),
+        # the X point with two residues in each of three slices:
+        ({0: [0, 1], 1: [0, 1], 6: [0, 1]}, _UNCLASSIFIABLE),  # not pairs {a, a + 6}
+        ({0: [0, 6], 1: [0, 6], 6: [0, 6]}, _UNCLASSIFIABLE),  # Y-triple misses the X point
+        ({0: [3, 9], 1: [3, 9], 6: [3, 9]}, _UNCLASSIFIABLE),  # no zero-sum sign choice
+        ({0: [3, 9], 1: [3, 9], 2: [3, 9]}, _UNCLASSIFIABLE),  # {0, 1, 2} is no V-triple
+        ({0: [3], 1: [3, 9], 6: [0, 3, 9]}, _UNCLASSIFIABLE),  # 1, 2 and 3 per slice
+    ],
+    ids=["off_6_torsion", "nonzero_sum", "not_antipodal", "misses_x", "no_sign_choice",
+         "not_a_v_triple", "uneven_slices"],
+)
+def test_classify_rejects_hand_built_seven_sets(slices, violation):
+    """Hand-built 7-sets of the (1, 13) product over STS(7), checked by
+    shape alone: m = 12, and of the pairs {a, a + 6} only {3, 9} has its
+    Y-triple through the X point."""
+    inp = _inp(1, 13, 7)
+    y_third = inp.y.incidence.third
+    through_x = [a for a in range(6) if y_third.item(
+        inp.labeling.point_of[a], inp.labeling.point_of[a + 6]) == inp.x_sorted[0]]
+    assert (inp.m, through_x, (0, 1, 6) in set(inp.v.iter_triples())) == (12, [3], True)
+    x = [] if len(slices) == 7 else [0]
+    pts = x + [inp.u_point(v, a) for v, aa in slices.items() for a in aa]
+    assert len(set(pts)) == 7
+    with pytest.raises(ClassificationError, match=violation):
+        classify_fano(inp, pts)
+
+
 # ---------------------------------------------------------------------------
 # slices, graphs, recognition
 
@@ -391,3 +428,6 @@ def test_recognize_subsystem():
     assert verdict.kind == "is_vvf"
     assert verdict.f == tuple(sorted(f))
     assert recognize_subsystem(inp, {0, 1, 2}).kind == "other"
+    inp = _inp(1, 13, 7)  # m = 12: residue 1 is off the 6-torsion
+    assert recognize_subsystem(inp, {inp.u_point(v, 0) for v in range(7)}).kind == "is_vvf"
+    assert recognize_subsystem(inp, {inp.u_point(v, 1) for v in range(7)}).kind == "other"

@@ -54,7 +54,7 @@ SYSTEMS = {
     "product_3_pg2": lambda: direct_product(base_sts(3), pg_sts(2)),
     "moore_1_7_3": lambda: _moore(1, 7, 3),
     "moore_3_7_3": lambda: _moore(3, 7, 3),
-    **{f"qr{r}": lambda r=r: build_qr(r).system for r in (1, 2, 3, 4)},
+    **{f"qr{r}": lambda r=r: build_qr(r) for r in (1, 2, 3, 4)},
     **{f"cyclic{t}": lambda t=t: cyclic_pstss(t).system for t in (3, 4, 6)},
     **{f"empty{n}": lambda n=n: PartialTripleSystem(n, []) for n in range(6)},
     **{f"random{n}_seed{s}": lambda n=n, s=s: _random(n, s) for n in (13, 15) for s in (0, 1)},

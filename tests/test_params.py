@@ -42,6 +42,13 @@ def test_choose_K_order_strategy_sufficient():
         assert math.gcd(K, v1 - 1) == 1 and math.gcd(K, v2 - 1) == 1
 
 
+def test_choose_K_skips_mersenne_numbers_sharing_a_factor():
+    # 31 divides 62 = v1 - 1, so k = 5 is passed over for k = 7
+    assert choose_K(63, 9) == (7, 127)
+    # 127 divides 254 = v2 - 1 as well, and k = 9 is not prime
+    assert choose_K(63, 255) == (11, 2047)
+
+
 def test_choose_K_rejects_even():
     with pytest.raises(ParameterError):
         choose_K(4, 9)
@@ -136,16 +143,22 @@ _TAMPERED = {
     "delta_offset": (lambda s: s.delta_offset + 24, "offset formula violated"),
     "branch": (lambda s: "y mod 8 = 9", "branch tag does not match y"),
 }
+# v1 = 63 keeps every formula (v_choice = 9), but K = 31 divides v1 - 1 = 62
+_SHARED_FACTOR = ("v1", lambda s: 63, "K shares a factor with v1 - 1 or v2 - 1")
 
 
-@pytest.mark.parametrize("field", _TAMPERED)
-def test_certificate_check_catches_tampering(field):
+@pytest.mark.parametrize(
+    "field,tamper,violation",
+    [(f, *case) for f, case in _TAMPERED.items()] + [_SHARED_FACTOR],
+    ids=[*_TAMPERED, "v1_shares_a_factor_with_K"],
+)
+def test_certificate_check_catches_tampering(field, tamper, violation):
     v1, v2 = 3, 9
     _, K = choose_K(v1, v2)
     u = global_threshold(v1, v2, K)
     u += (1 - u) % 6
     sol = solve_order(u, v1, v2)
-    tamper, violation = _TAMPERED[field]
+    assert (sol.K, sol.v_choice) == (31, 9)
     bad = dataclasses.replace(sol, **{field: tamper(sol)})
     assert any(p.startswith(violation) for p in bad.check())
 

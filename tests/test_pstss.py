@@ -26,6 +26,7 @@ from stslab import (
     reconstruct_line,
     recover_vprime,
     replace_triples,
+    restrict,
     validate_pstss,
     validate_sts,
 )
@@ -64,7 +65,7 @@ def is_cyclic_pstss(ps) -> bool:
 @pytest.mark.parametrize("t", [3, 4, 5, 8])
 def test_cyclic_pstss_shape(t):
     c = cyclic_pstss(t)
-    assert c.n == 2 * t
+    assert c.system.n == 2 * t
     assert c.system.n_triples == t
     assert validate_pstss(c.system).ok
     assert is_cyclic_pstss(c.system)
@@ -90,8 +91,7 @@ def test_is_cyclic_rejects_non_cycles():
 def test_gadget_rigid(r):
     q = build_qr(r)
     assert q.n == 4 * r + 10
-    assert q.system.n == q.n
-    assert automorphism_group(q.system).order == 1
+    assert automorphism_group(q).order == 1
 
 
 def test_build_q_size_contract():
@@ -101,9 +101,9 @@ def test_build_q_size_contract():
 
 def test_gadget_anchor_degree():
     q = build_qr(2)
-    degs = _degrees(q.system)
-    assert int(degs[q.z]) == 4  # shared by both components, twice each
-    assert int(degs[q.zp]) == 1
+    degs = _degrees(q)
+    assert int(degs[0]) == 4  # the anchor: shared by both components, twice each
+    assert int(degs[q.n - 1]) == 1  # the pendant point
 
 
 def _build_qr_comprehensions(r: int) -> tuple:
@@ -129,8 +129,8 @@ def _build_qr_comprehensions(r: int) -> tuple:
 def test_build_qr_matches_the_comprehensions(r):
     triples, zp = _build_qr_comprehensions(r)
     q = build_qr(r)
-    assert q.system == PartialTripleSystem.from_triples(4 * r + 10, triples)
-    assert (q.z, q.zp) == (0, zp)
+    assert q == PartialTripleSystem.from_triples(4 * r + 10, triples)
+    assert zp == q.n - 1
 
 
 def test_attach_sizes_and_aut():
@@ -138,8 +138,9 @@ def test_attach_sizes_and_aut():
         base = cyclic_pstss(t).system
         out = attach_gadgets(base)
         n = base.n
-        assert out.system.n == 4 * n * n + 10 * n
-        assert out.base_n == n
+        assert out.n == 4 * n * n + 10 * n
+        # points 0..n-1 are the base's, its triples unrelabeled
+        assert set(map(tuple, base.triples.tolist())) <= set(map(tuple, out.triples.tolist()))
 
 
 @pytest.mark.parametrize("n_pts,triples", [(1, []), (2, []), (3, [(0, 1, 2)])])
@@ -147,7 +148,7 @@ def test_attach_preserves_aut_order(n_pts, triples):
     base = PartialTripleSystem.from_triples(n_pts, triples)
     before = automorphism_group(base).order
     out = attach_gadgets(base)
-    assert automorphism_group(out.system).order == before
+    assert automorphism_group(out).order == before
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +307,14 @@ def test_largest_boolean_space_is_allowed():
 
 
 def test_reconstruct_line_matches_xor():
-    sp = boolean_space(6)
-    rep = replace_triples(sp, cyclic_pstss(3).system)
-    rng = random.Random(3)
-    n = rep.system.n
-    for _ in range(200):
-        x, y = rng.sample(range(n), 2)
-        line = reconstruct_line(rep, x, y)
-        z = ((x + 1) ^ (y + 1)) - 1
-        assert line == frozenset({x, y, z})
+    """Every pair of the n' = 6 and 7 spaces switched along cyclic_pstss(3):
+    1,953 and 8,001 lines."""
+    for n_prime in (6, 7):
+        rep = replace_triples(boolean_space(n_prime), cyclic_pstss(3).system)
+        n = rep.system.n
+        for x in range(n):
+            for y in range(x + 1, n):
+                assert reconstruct_line(rep, x, y) == {x, y, ((x + 1) ^ (y + 1)) - 1}
 
 
 @pytest.mark.parametrize("x,y", [(5, 63), (5, 200), (63, 5), (-1, 5)])
@@ -348,21 +348,22 @@ def test_corollary46():
     v = bose(9)
     w = base_sts(3)
     out = corollary46_build(v, w)
-    assert out.wprime.system.n > v.n
-    assert validate_pstss(out.combined).ok
-    assert automorphism_group(out.wprime.system).order == 1
+    wprime, _ = restrict(out, range(out.n - v.n))
+    assert wprime.n > v.n
+    assert validate_pstss(out).ok
+    assert automorphism_group(wprime).order == 1
     # the combined symmetry is exactly that of the untouched V copy
-    assert automorphism_group(out.combined).order == automorphism_group(v).order
+    assert automorphism_group(out).order == automorphism_group(v).order
 
 
 def test_corollary46_places_v_past_the_uint16_points():
     """W = STS(33) gives |W'| = 74,382, so V's copy starts above 65,535."""
     v, w = base_sts(7), base_sts(33)
     out = corollary46_build(v, w)
-    off = out.wprime.system.n
-    assert off == 74_382 and out.combined.n == off + 7
+    off = 74_382
+    assert out.n == off + 7
     want = [[p + off for p in t] for t in v.triples.tolist()]
-    assert out.combined.triples[-v.n_triples :].tolist() == want
+    assert out.triples[-v.n_triples :].tolist() == want
 
 
 def _count_calls(monkeypatch, name) -> list:
@@ -376,7 +377,7 @@ def test_attach_builds_each_gadget_once(monkeypatch):
     calls = _count_calls(monkeypatch, "build_qr")
     out = attach_gadgets(base_sts(9))
     assert calls == [(9,)]
-    assert out.system.n == 4 * 81 + 90
+    assert out.n == 4 * 81 + 90
 
 
 def test_corollary46_attaches_once(monkeypatch):
@@ -384,22 +385,22 @@ def test_corollary46_attaches_once(monkeypatch):
     out = corollary46_build(base_sts(999), base_sts(3))
     assert len(calls) == 1
     # the fewest rounds with |W'| > |V|: 14 rounds give 1,038 points, 13 give 966
-    assert out.wprime.gadget_r == (42, 84, 126)
-    assert out.wprime.system.n == 1038
+    assert calls[0][1] == [42, 84, 126]
+    assert out.n - 999 == 1038
 
 
 def test_corollary47_stabilizer():
     v = bose(9)
     v1 = frozenset(next(v.iter_triples()))
     out = corollary47_build(v, v1)
-    assert validate_pstss(out.system).ok
+    assert validate_pstss(out).ok
     aut_v = automorphism_group(v)
     stab = sum(
         1
         for g in aut_v.elements()
         if {g[p] for p in v1} == set(v1)
     )
-    assert automorphism_group(out.system).order == stab
+    assert automorphism_group(out).order == stab
 
 
 def test_corollary47_guards():
