@@ -27,6 +27,7 @@ from .system import (
     fano_planes,
     is_subsystem,
     pairs_within,
+    row_dtype,
     span,
 )
 
@@ -397,35 +398,43 @@ class MooreInput:
 
 
 def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
-    """The product's triples as an int32 (m, 3) array, rows unsorted.
+    """The product's triples as an (m, 3) array of row_dtype(inp.u_size),
+    rows unsorted: the (M1) and (M2) rows of each triple of Y in turn,
+    then the (M3) rows of each triple of V.  Every row is written in
+    place, into the one array returned.
 
     sigma, a residue permutation, twists the (M3) product triples.
     """
-    m = inp.m
+    m, nx, nv = inp.m, len(inp.x_points), inp.v.n
     xi = {p: i for i, p in enumerate(inp.x_sorted)}  # Y-point of X -> U-index
     res = inp.labeling.residue_of()
-    blocks = []
-    u_base = len(inp.x_points) + np.arange(inp.v.n, dtype=np.int32)[:, None] * m
+    splits = []  # per triple of Y: its residues outside X, then its U-indices in X
     for t in inp.y.triples.tolist():
         outs = [res[p] for p in t if p not in inp.x_points]
-        ins = [xi[p] for p in t if p in inp.x_points]
-        if not outs:  # (M1) triples inside X
-            blocks.append(np.array([ins], dtype=np.int32))
-        elif len(outs) == 1:  # X closed: a triple cannot meet X in exactly two points
+        if len(outs) == 1:  # X closed: a triple cannot meet X in exactly two points
             raise VerificationError("closed subsystem violated")
+        splits.append((outs, [xi[p] for p in t if p in inp.x_points]))
+    own = sum(nv if outs else 1 for outs, _ in splits)
+    rows = np.empty((own + inp.v.n_triples * m * m, 3), dtype=row_dtype(inp.u_size))
+    u_base = nx + np.arange(nv)[:, None] * m
+    k = 0
+    for outs, ins in splits:
+        if not outs:  # (M1) triples inside X
+            rows[k] = ins
+            k += 1
         else:  # (M2) one row per point v of V: u_point(v, a) per residue, then X
-            block = np.empty((inp.v.n, 3), dtype=np.int32)
-            block[:, : len(outs)] = u_base + outs
-            block[:, len(outs) :] = ins
-            blocks.append(block)
+            rows[k : k + nv, : len(outs)] = u_base + outs
+            rows[k : k + nv, len(outs) :] = ins
+            k += nv
     # (M3) product triples: labels multiplying to the identity, for every
     # triple (v1, v2, v3) of V and every a1, a2 in that order
     a1, a2 = np.divmod(np.arange(m * m, dtype=np.int32), m)
     labels = np.stack([a1, a2, (-a1 - a2) % m], axis=1)
     if sigma is not None:
         labels = np.asarray(sigma, dtype=np.int32)[labels]
-    product = len(inp.x_points) + inp.v.triples[:, None, :].astype(np.int32) * m + labels
-    return np.concatenate([*blocks, product.reshape(-1, 3)])
+    starts = nx + inp.v.triples[:, None, :].astype(np.int32) * m
+    np.add(starts, labels, out=rows[k:].reshape(inp.v.n_triples, m * m, 3), casting="unsafe")
+    return rows
 
 
 def moore(inp: MooreInput) -> TripleSystem:

@@ -12,6 +12,7 @@ raises InvalidSystemError.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
@@ -636,52 +637,75 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-_READ_BYTES = 1 << 20  # bytes in the steps of the parse that both workers hold
+_READ_BYTES = 1 << 20  # bytes in the blocks of the first pass, and in the steps the two workers hold
 _LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
 
 
-def _parse_rows(raw: bytes, start: int, n: int):
-    """The rows of raw[start:] as an (m, 3) array of row_dtype(n), when
-    every line is three in-range decimal indices joined by single spaces;
-    else None.
+def _parse_rows(path, fh, start: int, n: int):
+    """The rows of the file from byte start on, as an (m, 3) array of
+    row_dtype(n), when every line is three in-range decimal indices joined
+    by single spaces; else None.
 
-    Steps of about _READ_BYTES / 2, cut at line ends, are parsed two at a
-    time (_steps) into one array with a row per line, each step into the
-    rows after the lines before it.  A step works in scratch sized by its
-    known count of separators, three per line; its values are summed in
-    int32 and then stored.  A last line with no newline gets one appended
-    to a copy of its step alone.
+    One pass reads fh in blocks of _READ_BYTES and cuts the file into
+    steps of about _READ_BYTES / 2 at line ends, counting each step's
+    lines.  The steps are then parsed two at a time (_steps) into one array
+    with a row per line, each into the rows after the lines before it.  A
+    step reads its own bytes into its worker's scratch, through a handle
+    on path of that worker's own; one that reads fewer bytes than that
+    gives None, as does one whose bytes fail a check.  A step works in
+    scratch sized by its known count of separators, three per line; its
+    values are summed in int32 and then stored.  A last line with no
+    newline gets one in its step's scratch.
     """
-    end = len(raw)
     width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
     size = _share(_READ_BYTES)
     most = size + 3 * width + 3  # a step holds at most one line past size, if it parses
-    bufs, firsts = [], [0]  # each step's bytes, and the lines before each step
-    while start < end:
-        stop = raw.find(b"\n", min(start + size, end) - 1) + 1 or end
-        ended = raw[stop - 1 : stop] == b"\n"
-        lines = raw.count(b"\n", start, stop) + (not ended)
-        if stop - start > most or 6 * lines > stop - start + 1:  # a line too long or too short
+    bounds, firsts = [start], [0]  # step i is bytes bounds[i]:bounds[i + 1], after firsts[i] lines
+    base, lines, last = start, 0, 0  # the block's offset; the open step's newlines before it
+    block, newline = bytearray(_READ_BYTES), np.empty(_READ_BYTES, bool)
+    fh.seek(start)
+    while got := fh.readinto(block):
+        np.equal(np.frombuffer(block, np.uint8, got), ord("\n"), out=newline[:got])
+        at = 0  # the block's newlines before at are counted
+        while (j := block.find(b"\n", max(bounds[-1] + size - 1 - base, at), got)) >= 0:
+            lines += int(np.count_nonzero(newline[at : j + 1]))
+            at = j + 1
+            bounds.append(base + at)
+            firsts.append(firsts[-1] + lines)
+            lines = 0
+        lines += int(np.count_nonzero(newline[at:got]))
+        base, last = base + got, block[got - 1]
+        if base - bounds[-1] > most:  # a line too long
             return None
-        text = memoryview(raw)[start:stop] if ended else raw[start:stop] + b"\n"
-        bufs.append(np.frombuffer(text, "u1"))
-        firsts.append(firsts[-1] + lines)
-        start = stop
+    del block, newline
+    ended = last == ord("\n")
+    if bounds[-1] < base:
+        bounds.append(base)
+        firsts.append(firsts[-1] + lines + (not ended))
+    spans, counts = np.diff(bounds), np.diff(firsts)
+    if (spans > most).any() or (6 * counts > spans + 1).any():  # a line too long or too short
+        return None
     rows = np.empty((firsts[-1], 3), dtype=row_dtype(n))
     values = rows.reshape(-1)
-    most_bytes = max((buf.size for buf in bufs), default=0)
-    most_seps = 3 * max((b - a for a, b in zip(firsts, firsts[1:])), default=0)
+    most_bytes = int(spans.max(initial=0)) + 1  # a newline after a last line with none
+    most_seps = 3 * int(counts.max(initial=0))
 
     def scratch():
-        return (np.empty((2, most_bytes), bool), np.empty(most_seps, np.intp),
+        return (files.enter_context(open(path, "rb")), np.empty(most_bytes, np.uint8),
+                np.empty((2, most_bytes), bool), np.empty(most_seps, np.intp),
                 np.empty((3, most_seps), np.int32), np.empty((2, most_seps), np.uint8))
 
     def step(i, s):
-        buf, k = bufs[i], 3 * (firsts[i + 1] - firsts[i])
-        other, nondigit = s[0][:, : buf.size]
-        index = s[1][:k]
-        lengths, digit, total = s[2][:, :k]
-        found, hits = s[3][:, :k]
+        own, k, span = s[0], 3 * (firsts[i + 1] - firsts[i]), bounds[i + 1] - bounds[i]
+        buf = s[1][: span + (i == len(spans) - 1 and not ended)]
+        own.seek(bounds[i])
+        if own.readinto(buf[:span]) != span:  # the file got shorter since the first pass
+            return False
+        buf[span:] = ord("\n")
+        other, nondigit = s[2][:, : buf.size]
+        index = s[3][:k]
+        lengths, digit, total = s[4][:, :k]
+        found, hits = s[5][:, :k]
         np.less(buf, ord("0"), out=nondigit)
         nondigit |= np.greater(buf, ord("9"), out=other)
         if np.count_nonzero(nondigit) != k:
@@ -709,8 +733,9 @@ def _parse_rows(raw: bytes, start: int, n: int):
         values[3 * firsts[i] : 3 * firsts[i + 1]] = total
         return True
 
-    if not all(_steps(len(bufs), step, scratch)):
-        return None
+    with contextlib.ExitStack() as files:  # the workers' own handles
+        if not all(_steps(len(spans), step, scratch)):
+            return None
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows
 
@@ -718,46 +743,57 @@ def _parse_rows(raw: bytes, start: int, n: int):
 def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
-    A body of plain "a b c" lines is parsed by numpy; any other body is
-    read line by line, which reports the first bad line.  The file's bytes
-    are let go before the system the header names is built, which
-    validates it; a file that breaks its axioms raises FormatError listing
-    every violation found.
+    The file is read a step at a time, so the read holds the rows it
+    parses and not the file.  A body of plain "a b c" lines is parsed by
+    numpy (_parse_rows); any other body is read line by line through a
+    text wrapper over the open file, which reports the first bad line.  A
+    file that cannot seek, such as a pipe, is held in memory and read line
+    by line.  The system the header names is then built, which validates
+    it; a file that breaks its axioms raises FormatError listing every
+    violation found.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    cut = re.match(rb"[^\r\n]*", raw).end()  # the header ends at the first \r or \n
-    header = raw[:cut].decode("utf-8", errors="replace")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
-        raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise FormatError(path, 1, f"bad point count {parts[1]!r}")
-    rows = None
-    if raw[cut : cut + 1] == b"\n" and raw.startswith(header.encode()):
-        rows = _parse_rows(raw, cut + 1, n)
-    if rows is None:  # the line parser, whose text wrapper lives for the loop alone
-        rows, top = [], min(n, _INT32_MAX + 1)  # entries must fit int32
-        for line_no, line in enumerate(
-            io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace"), start=1
-        ):
-            if line_no == 1 or not line.strip():  # the header, or a blank line
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise FormatError(path, line_no, "expected three indices")
-            try:
-                t = tuple(int(f) for f in fields)
-            except ValueError:
-                raise FormatError(path, line_no, "non-integer index") from None
-            if any(p < 0 or p >= top for p in t):
-                raise FormatError(path, line_no, f"index out of range 0..{top - 1}")
-            rows.append(t)
-    del raw
+        seekable = fh.seekable()
+        if not seekable:  # the numpy parser reads the file twice
+            fh = io.BytesIO(fh.read())
+        head = fh.readline()
+        cut = re.match(rb"[^\r\n]*", head).end()  # the header ends at the first \r or \n
+        header = head[:cut].decode("utf-8", errors="replace")
+        plain = head[cut : cut + 1] == b"\n" and head.startswith(header.encode())
+        del head
+        parts = header.split()
+        if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
+            raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise FormatError(path, 1, f"bad point count {parts[1]!r}")
+        rows = _parse_rows(path, fh, cut + 1, n) if plain and seekable else None
+        if rows is None:  # the line parser, storing the rows as the numpy parser does
+            rows, m, top = np.empty((1 << 10, 3), row_dtype(n)), 0, min(n, _INT32_MAX + 1)
+            fh.seek(0)
+            for line_no, line in enumerate(
+                io.TextIOWrapper(fh, encoding="utf-8", errors="replace"), start=1
+            ):
+                if line_no == 1 or not line.strip():  # the header, or a blank line
+                    continue
+                fields = line.split()
+                if len(fields) != 3:
+                    raise FormatError(path, line_no, "expected three indices")
+                try:
+                    t = [int(f) for f in fields]  # a list: tuples fill a freelist that outlives the read
+                except ValueError:
+                    raise FormatError(path, line_no, "non-integer index") from None
+                if any(p < 0 or p >= top for p in t):
+                    raise FormatError(path, line_no, f"index out of range 0..{top - 1}")
+                if m == rows.shape[0]:  # in place: no second copy while it grows
+                    rows.resize((m + m // 4, 3), refcheck=False)
+                rows[m] = t
+                m += 1
+            rows.resize((m, 3), refcheck=False)
+            rows.setflags(write=False)  # handed over: the system adopts it
     cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem
     try:
         return cls(n, rows)

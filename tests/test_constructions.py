@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,7 @@ from stslab import constructions
 from stslab.perm import PermutationGroup
 from stslab.constructions import _is_projective_15, _moore_triples, random_sts
 from stslab.pstss import attach_gadgets, corollary46_build, corollary47_build, cyclic_pstss
-from stslab.system import restrict, span
+from stslab.system import restrict, row_dtype, span
 from test_core import _update_int32
 
 
@@ -442,7 +443,7 @@ def test_moore_triples_match_loop_oracle():
     for params, inp in _grid_inputs():
         got = _moore_triples(inp)
         want = np.array(_moore_triples_loop(inp), dtype=np.int32)
-        assert got.dtype == np.int32 and np.array_equal(got, want), params
+        assert got.dtype == row_dtype(inp.u_size) and np.array_equal(got, want), params
         built += 1
     assert built == 27
 
@@ -463,6 +464,21 @@ _MOORE_ROWS_SHA256 = {
 def test_moore_rows_match_recorded_digest(params):
     rows = moore(_inp(*params)).triples
     assert _update_int32(hashlib.sha256(), rows).hexdigest() == _MOORE_ROWS_SHA256[params]
+
+
+def test_moore_rows_are_built_in_place():
+    """_moore_triples writes every row into its one output array: the
+    traced peak is that array and a little scratch, not an int32 product
+    and its concatenation (4.2 times the uint16 output)."""
+    inp = _inp(7, 63, 15)
+    tracemalloc.start()
+    try:
+        rows = _moore_triples(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.dtype == np.uint16 and rows.shape == (119_427, 3)
+    assert peak < 1.5 * rows.nbytes, f"{peak / 1e6:.2f} MB for {rows.nbytes / 1e6:.2f} MB of rows"
 
 
 def test_moore_variant_sigma_triples_match_loop_oracle():

@@ -788,14 +788,9 @@ def test_write_matches_fstring_oracle(tmp_path, monkeypatch, system, chunk_rows)
     assert read_system(tmp_path / "new.sts") == system
 
 
-def test_read_holds_the_rows_once(tmp_path):
-    """Reading a 2.8M-row file holds its bytes and one copy of its rows,
-    with less than a second copy's worth of scratch on top."""
-    space = boolean_space(12)
-    system = TripleSystem(space.n, space.triples_array())
-    path = tmp_path / "b12.sts"
-    write_system(system, path)
-    size = path.stat().st_size
+def _read_peak_and_rows(path, system) -> tuple:
+    """The traced peak of reading path, which must hold system, and the
+    bytes of system's rows."""
     tracemalloc.start()
     try:
         got = read_system(path)
@@ -803,9 +798,39 @@ def test_read_holds_the_rows_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert got == system
-    rows = system.triples.nbytes
-    assert peak < size + 2 * rows, (
-        f"{peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of file, {rows / 1e6:.1f} MB of rows"
+    return peak, system.triples.nbytes
+
+
+def test_read_holds_the_rows_once(tmp_path):
+    """Reading a 2.8M-row file holds one copy of its rows, with less than
+    a second copy's worth of scratch on top, and none of its bytes: the
+    numpy parser reads the file a step at a time."""
+    space = boolean_space(12)
+    system = TripleSystem(space.n, space.triples_array())
+    path = tmp_path / "b12.sts"
+    write_system(system, path)
+    peak, rows = _read_peak_and_rows(path, system)
+    assert peak < 2 * rows, (
+        f"{peak / 1e6:.1f} MB for {path.stat().st_size / 1e6:.1f} MB of file, "
+        f"{rows / 1e6:.1f} MB of rows"
+    )
+
+
+def test_read_by_lines_holds_the_rows_once(tmp_path, monkeypatch):
+    """The same bound for a file with \\r\\n line ends, which the line
+    parser reads a line at a time into one growing array.  That parser
+    is slow under tracemalloc, so the file is smaller and the scan steps
+    of the constructor (_CHUNK) shrink with it."""
+    monkeypatch.setattr(stslab.system, "_CHUNK", 1 << 10)
+    space = boolean_space(9)
+    system = TripleSystem(space.n, space.triples_array())
+    path = tmp_path / "b9.sts"
+    write_system(system, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    peak, rows = _read_peak_and_rows(path, system)
+    assert peak < 2 * rows, (
+        f"{peak / 1e6:.2f} MB for {path.stat().st_size / 1e6:.2f} MB of file, "
+        f"{rows / 1e6:.2f} MB of rows"
     )
 
 
@@ -1039,6 +1064,53 @@ def test_two_worker_parse_falls_back_to_the_first_bad_line(tmp_path, monkeypatch
     for read_bytes in (1, 40, 512):
         assert _read_outcome(path, read_bytes=read_bytes) == want, read_bytes
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("change", ["truncated", "overwritten"])
+def test_read_of_a_file_changed_between_the_passes(tmp_path, monkeypatch, change):
+    """A file cut short, or with a byte changed, after the pass that cuts
+    it into steps: a step reads fewer bytes than its span, or bytes that
+    fail its checks, and the line parser reads the file as it is now."""
+    lines = [" ".join(map(str, row)) for row in base_sts(31).triples.tolist()]
+    path = tmp_path / "changed.sts"
+    path.write_text("sts 31\n" + "\n".join(lines) + "\n")
+    size = path.stat().st_size
+    steps = stslab.system._steps
+
+    def changing_steps(count, step, scratch):
+        if change == "truncated":
+            os.truncate(path, size // 2)
+        else:
+            with open(path, "r+b") as fh:  # in place: the handles already open see it
+                fh.seek(size - 2)  # the last digit of the last line
+                fh.write(b"x")
+        yield from steps(count, step, scratch)
+
+    monkeypatch.setattr(stslab.system, "_READ_BYTES", 512)
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
+    monkeypatch.setattr(stslab.system, "_steps", changing_steps)
+    before = threading.active_count()
+    got = _read_outcome(path)
+    assert threading.active_count() == before
+    monkeypatch.setattr(stslab.system, "_steps", steps)
+    assert got == _read_outcome(path, by_lines=True)
+    if change == "overwritten":
+        assert got == f"FormatError: {path}:{len(lines) + 1}: non-integer index"
+    else:
+        assert path.stat().st_size == size // 2 and got.startswith(f"FormatError: {path}:")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_pipe(tmp_path):
+    """A file that cannot seek is read once, and parsed line by line."""
+    path, pipe = tmp_path / "fano.sts", tmp_path / "pipe"
+    write_system(FANO, path)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got = read_system(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive() and got == FANO
 
 
 def test_two_worker_write_that_fails_joins_its_helper(tmp_path, monkeypatch):
