@@ -10,6 +10,7 @@ projective subsystem of V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -88,6 +89,11 @@ def classify_fano(inp: MooreInput, fano) -> FanoClassification:
     vs = [v for v, _ in pairs]
 
     if len(set(vs)) <= 1:
+        # the slice is a copy of Y: the set is closed when its image in Y is
+        image = [inp.x_sorted[p] for p in x_pts] + [inp.labeling.point_of[a] for _, a in pairs]
+        third, inside = inp.y.incidence.third, set(image)
+        if any(third.item(p, q) not in inside for p, q in combinations(image, 2)):
+            raise ClassificationError(f"7 points in one slice but not closed: {pts}")
         return FanoClassification(kind="in_yv", v=vs[0] if vs else None)
 
     if not x_pts and len(set(vs)) == 7:

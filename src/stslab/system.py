@@ -17,7 +17,6 @@ import hashlib
 import io
 import os
 import re
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -49,12 +48,12 @@ def _steps(count: int, step, scratch) -> Iterator:
 
     With two steps or more and two CPUs, the calling thread runs the even
     steps and one helper thread, started here and joined before this
-    returns or raises, the odd ones; numpy lets go of the interpreter lock
-    inside its loops, so the two overlap.  Otherwise the calling thread
-    runs every step.  s is the scratch of the worker running the step,
-    made by scratch() in the calling thread, so steps that write into it
-    leave next to no freed memory in the helper's own malloc arena.  A
-    step's result may live in s: a worker starts its next step only once
+    returns, raises or is closed, the odd ones; numpy lets go of the
+    interpreter lock inside its loops, so the two overlap.  Otherwise the
+    calling thread runs every step.  s is the scratch of the worker running
+    the step, made by scratch() in the calling thread, so steps that write
+    into it leave next to no freed memory in the helper's own malloc arena.
+    A step's result may live in s: a worker starts its next step only once
     the consumer has asked for the result after its last.  The exception
     of the first step in order that raises is raised here, as if the
     steps ran one by one.
@@ -65,37 +64,14 @@ def _steps(count: int, step, scratch) -> Iterator:
             yield step(i, own)
         return
     own, theirs = scratch(), scratch()
-    done, free = threading.Semaphore(0), threading.Semaphore(0)
-    box, stop = [None, None], False
+    from concurrent.futures import ThreadPoolExecutor  # not at import stslab: it loads logging
 
-    def helper():
-        for i in range(1, count, 2):
-            try:
-                box[:] = step(i, theirs), None
-            except BaseException as exc:  # raised in the calling thread, in step order
-                box[:] = None, exc
-            done.release()
-            free.acquire()
-            if stop:
-                return
-
-    thread = threading.Thread(target=helper, name="stslab-step")
-    thread.start()
-    try:
-        for i in range(count):
-            if i % 2 == 0:
-                yield step(i, own)
-                continue
-            done.acquire()
-            result, exc = box
-            if exc is not None:
-                raise exc
-            yield result
-            free.release()
-    finally:
-        stop = True
-        free.release()
-        thread.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="stslab-step") as helper:
+        for i in range(0, count, 2):
+            odd = helper.submit(step, i + 1, theirs) if i + 1 < count else None
+            yield step(i, own)
+            if odd is not None:
+                yield odd.result()
 
 
 def _triple_keys(rows: np.ndarray, n: int, out=None) -> np.ndarray:

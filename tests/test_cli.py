@@ -45,6 +45,17 @@ def test_construct_writes_manifest_and_map(tmp_path):
     assert lines[0] == "point 0 = vector 1"
 
 
+def test_construct_boolean_dim_3_is_pg2(tmp_path, capsys):
+    """The points of the Boolean space are the nonempty subsets of a
+    3-set, and its file is that of PG(2, 2)."""
+    b, g = tmp_path / "b.sts", tmp_path / "g.sts"
+    assert _run("construct", "boolean", "--dim", "3", "--output", str(b)) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {b}: 7 points, 7 triples\n"
+    assert (tmp_path / "b.sts.map").read_text().startswith("point 0 = subset 1\n")
+    assert _run("construct", "pg", "--dim", "2", "--output", str(g)) == EXIT_OK
+    assert b.read_bytes() == g.read_bytes()
+
+
 def test_construct_moore(tmp_path):
     out = tmp_path / "u.sts"
     code = _run(
@@ -358,6 +369,25 @@ def test_user_errors_print_one_error_line(tmp_path, capsys, argv, code):
     assert _run(*(a.format(tmp=tmp_path) for a in argv.split())) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        ("construct double --input {tmp}/p.pstss --output {tmp}/x.sts", EXIT_VALIDATION,
+         "error: {tmp}/p.pstss: expected a full system (header 'sts')\n"),
+        ("embed-pstss --mode cor47 --input {tmp}/f.sts --v1 1,x --output {tmp}/x.sts", EXIT_USAGE,
+         "error: --v1 must be a comma-separated point list\n"),
+    ],
+    ids=["double_of_a_partial_system", "cor47_v1_not_a_point_list"],
+)
+def test_user_errors_name_the_fault(tmp_path, capsys, argv, code, err):
+    _run("construct", "base", "--n", "7", "--output", str(tmp_path / "f.sts"))
+    (tmp_path / "p.pstss").write_text("pstss 3\n")
+    capsys.readouterr()
+    assert _run(*(a.format(tmp=tmp_path) for a in argv.split())) == code
+    assert capsys.readouterr().err == err.format(tmp=tmp_path)
+    assert not (tmp_path / "x.sts").exists()
 
 
 # Runs the CLI in a child process whose address space is capped, so that

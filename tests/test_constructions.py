@@ -561,6 +561,33 @@ def test_block_design_validation():
             BlockDesign(3, [block])
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: is_pg3_2pointed(pg_sts(2), 0, 1), "needs more than 7 points"),
+        (lambda: moore_variant_sigma(_inp(1, 7, 3), [0] * 6),  # m = 6
+         "sigma is not a permutation of the residues"),
+        (lambda: BlockDesign(3, ((0, 1), (0, 1, 2))), "blocks must share one size"),
+        (lambda: BlockDesign(4, ((0, 1, 2),)), "some pair of points lies in no block"),
+        (lambda: paired_via_design(bose(9), _design_of(base_sts(7))),
+         r"\|s\| = 9 but blocks have size 3"),
+        (lambda: random_sts(17, random.Random(0)), "no interesting triple system on 17 points"),
+        (lambda: rigid_sts_search(17), "17 is not an admissible size"),
+    ],
+    ids=["pg3_2pointed_on_7", "sigma_not_a_permutation", "uneven_blocks", "uncovered_pair",
+         "design_block_size", "random_sts_17", "rigid_search_17"],
+)
+def test_construction_input_errors(build, message):
+    with pytest.raises(ConstructionError, match=message):
+        build()
+
+
+def test_rigid_search_that_runs_out_of_attempts(monkeypatch):
+    monkeypatch.setattr(constructions, "_RIGID_ATTEMPTS", 0)
+    with pytest.raises(ConstructionError, match="on 15 points within 0 attempts"):
+        rigid_sts_search(15)
+
+
 def test_paired_via_design_valid():
     s = base_sts(7)
     out = paired_via_design(s, _design_of(base_sts(7)))

@@ -1412,6 +1412,28 @@ def test_only_the_pstss_module_evaluates_xor():
     assert not found, found
 
 
+def _imports_threads(node) -> bool:
+    """An import of threading or of concurrent.futures."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] in ("threading", "concurrent") for name in names)
+
+
+def test_only_the_step_runner_uses_threads():
+    """Every pass that runs on two workers goes through `system._steps`,
+    whose one helper thread is made and joined inside the call, so no
+    other place of the library imports a thread or executor module."""
+    system = ast.parse(Path(stslab.system.__file__).read_text())
+    runner = next(f for f in system.body if getattr(f, "name", None) == "_steps")
+    inside = {f"system.py:{node.lineno}" for node in ast.walk(runner) if _imports_threads(node)}
+    found = _library_sites(_imports_threads)
+    assert inside and set(found) == inside, found
+
+
 def test_no_library_module_reads_rows_through_iter_triples():
     """Constructions relabel the triples array by gathers, and the loops
     that remain read triples.tolist() once; iter_triples is for users."""

@@ -350,6 +350,7 @@ def test_classify_rejects_non_fano():
 
 _NOT_VSF = "7 distinct slices but not a 6-torsion graph"
 _UNCLASSIFIABLE = "unclassifiable 7-point subsystem"
+_NOT_CLOSED = "7 points in one slice but not closed"
 
 
 @pytest.mark.parametrize(
@@ -365,22 +366,24 @@ _UNCLASSIFIABLE = "unclassifiable 7-point subsystem"
         ({0: [3, 9], 1: [3, 9], 6: [3, 9]}, _UNCLASSIFIABLE),  # no zero-sum sign choice
         ({0: [3, 9], 1: [3, 9], 2: [3, 9]}, _UNCLASSIFIABLE),  # {0, 1, 2} is no V-triple
         ({0: [3], 1: [3, 9], 6: [0, 3, 9]}, _UNCLASSIFIABLE),  # 1, 2 and 3 per slice
+        # seven points of one slice, no X point: not closed in Y_0
+        ({0: list(range(7))}, _NOT_CLOSED),
     ],
     ids=["off_6_torsion", "nonzero_sum", "not_antipodal", "misses_x", "no_sign_choice",
-         "not_a_v_triple", "uneven_slices"],
+         "not_a_v_triple", "uneven_slices", "open_in_one_slice"],
 )
 def test_classify_rejects_hand_built_seven_sets(slices, violation):
-    """Hand-built 7-sets of the (1, 13) product over STS(7), checked by
-    shape alone: m = 12, and of the pairs {a, a + 6} only {3, 9} has its
+    """Hand-built 7-sets of the (1, 13) product over STS(7), none of them
+    closed: m = 12, and of the pairs {a, a + 6} only {3, 9} has its
     Y-triple through the X point."""
     inp = _inp(1, 13, 7)
     y_third = inp.y.incidence.third
     through_x = [a for a in range(6) if y_third.item(
         inp.labeling.point_of[a], inp.labeling.point_of[a + 6]) == inp.x_sorted[0]]
     assert (inp.m, through_x, (0, 1, 6) in set(inp.v.iter_triples())) == (12, [3], True)
-    x = [] if len(slices) == 7 else [0]
+    x = [0] if sum(map(len, slices.values())) == 6 else []
     pts = x + [inp.u_point(v, a) for v, aa in slices.items() for a in aa]
-    assert len(set(pts)) == 7
+    assert len(set(pts)) == 7 and not is_subsystem(moore(inp), pts)
     with pytest.raises(ClassificationError, match=violation):
         classify_fano(inp, pts)
 

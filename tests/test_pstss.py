@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from test_core import _degrees, _lexsort_normalize
 from stslab import (
     PartialTripleSystem,
     PstssError,
+    TripleSystem,
     attach_gadgets,
     automorphism_group,
     base_sts,
@@ -287,6 +289,31 @@ def test_replace_triples_third_is_consistent():
         x, y = rng.sample(range(rep.system.n), 2)
         key = (x, y) if x < y else (y, x)
         assert rep.third(x, y) == pair_third[key]
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: build_qr(0), "gadget parameter must be >= 1, got 0"),
+        (lambda: attach_gadgets(PartialTripleSystem(0, [])), "need at least one point"),
+        (lambda: reconstruct_line(
+            replace_triples(boolean_space(6), cyclic_pstss(3).system), 5, 5),
+         "need two distinct points"),
+        (lambda: corollary46_build(pg_sts(2), TripleSystem(0, [])), "W needs at least one point"),
+    ],
+    ids=["gadget_0", "gadgets_on_no_point", "line_of_one_point", "corollary46_empty_w"],
+)
+def test_pstss_input_errors(build, message):
+    with pytest.raises(PstssError, match=message):
+        build()
+
+
+def test_property_44_fails_off_the_switched_triples():
+    """{0, 1, 3} is no triple of the vprime that was switched, so its
+    pair-type points are not in two non-line triples each."""
+    rep = replace_triples(boolean_space(6), cyclic_pstss(3).system)
+    assert check_property_44(rep)
+    assert not check_property_44(replace(rep, vprime=PartialTripleSystem(6, [(0, 1, 3)])))
 
 
 def test_replace_triples_guards():
