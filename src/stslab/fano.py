@@ -10,7 +10,6 @@ projective subsystem of V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -89,10 +88,14 @@ def classify_fano(inp: MooreInput, fano) -> FanoClassification:
     vs = [v for v, _ in pairs]
 
     if len(set(vs)) <= 1:
-        # the slice is a copy of Y: the set is closed when its image in Y is
-        image = [inp.x_sorted[p] for p in x_pts] + [inp.labeling.point_of[a] for _, a in pairs]
-        third, inside = inp.y.incidence.third, set(image)
-        if any(third.item(p, q) not in inside for p, q in combinations(image, 2)):
+        # the slice is a copy of Y: the set is closed when its image in Y is, that is when
+        # the lines through one point p pair up the other six and two of them meet the third
+        p, *rest = [inp.x_sorted[x] for x in x_pts] + [inp.labeling.point_of[a] for _, a in pairs]
+        third, lines = inp.y.incidence.third, []  # each line through p, as its two other points
+        while rest and (r := third.item(p, rest[0])) in rest[1:]:
+            lines.append((rest.pop(0), r))
+            rest.remove(r)
+        if rest or any(third.item(a, b) not in lines[2] for a in lines[0] for b in lines[1]):
             raise ClassificationError(f"7 points in one slice but not closed: {pts}")
         return FanoClassification(kind="in_yv", v=vs[0] if vs else None)
 

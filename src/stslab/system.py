@@ -614,104 +614,130 @@ class FormatError(ValueError):
 
 
 _READ_BYTES = 1 << 20  # bytes in the blocks of the first pass, and in the steps the two workers hold
-_LINE_SEPARATORS = np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8)
+_FIELD = re.compile(rb"[^ \t\r\n]+")  # a field of a line: a maximal run of non-blank bytes
 
 
-def _parse_rows(path, fh, start: int, n: int):
-    """The rows of the file from byte start on, as an (m, 3) array of
-    row_dtype(n), when every line is three in-range decimal indices joined
-    by single spaces; else None.
+def _parse_rows(path, opener, start: int, n: int) -> np.ndarray:
+    """The rows of the body from byte start on of the file that opener()
+    opens, as a read-only (m, 3) array of row_dtype(n).
 
-    One pass reads fh in blocks of _READ_BYTES and cuts the file into
-    steps of about _READ_BYTES / 2 at line ends, counting each step's
-    lines.  The steps are then parsed two at a time (_steps) into one array
-    with a row per line, each into the rows after the lines before it.  A
-    step reads its own bytes into its worker's scratch, through a handle
-    on path of that worker's own; one that reads fewer bytes than that
-    gives None, as does one whose bytes fail a check.  A step works in
-    scratch sized by its known count of separators, three per line; its
-    values are summed in int32 and then stored.  A last line with no
-    newline gets one in its step's scratch.
+    The grammar of the body: every byte is a digit 0-9, a blank (space,
+    tab or \\r) or a newline; a token is a maximal run of digits; every
+    line that is not blank holds three tokens, each an index below n and
+    below 2**31.  Leading zeros are fine.  The first line that breaks it
+    raises FormatError with the first rule broken there, counting the
+    fields between blanks: three fields, then digits only, then the range.
+
+    One pass reads the body in blocks of _READ_BYTES and cuts it into
+    steps of about _READ_BYTES / 2 at line ends, counting their lines, a
+    row each.  Each step (_steps) reads its bytes through a handle of its
+    worker's own, so a file cut short since that pass is parsed as it now
+    is.  The falling edges of its digits end its tokens.  When every gap
+    between them is the one byte of an "a b c\\n" line, one take checks
+    them; else the end bytes of each gap (a searchsorted into the newlines
+    for a longer one) tell whether it holds a newline, and byte counts
+    whether any byte is outside the grammar.  Values are summed from the
+    last digits in int32 (int64 for 10-digit indices); a longer token is
+    in range only if its digits beyond those are 0.  Each step's values
+    are copied on after those of the steps before it.
     """
-    width = min(len(str(n - 1)), 9) if n else 0  # longer tokens go to the line parser
+    top = min(n, _INT32_MAX + 1)  # the indices 0..top - 1 are in range
+    width = len(str(max(top - 1, 0)))  # digits of the largest index, at most 10
     size = _share(_READ_BYTES)
-    most = size + 3 * width + 3  # a step holds at most one line past size, if it parses
     bounds, firsts = [start], [0]  # step i is bytes bounds[i]:bounds[i + 1], after firsts[i] lines
-    base, lines, last = start, 0, 0  # the block's offset; the open step's newlines before it
-    block, newline = bytearray(_READ_BYTES), np.empty(_READ_BYTES, bool)
-    fh.seek(start)
-    while got := fh.readinto(block):
-        np.equal(np.frombuffer(block, np.uint8, got), ord("\n"), out=newline[:got])
-        at = 0  # the block's newlines before at are counted
-        while (j := block.find(b"\n", max(bounds[-1] + size - 1 - base, at), got)) >= 0:
-            lines += int(np.count_nonzero(newline[at : j + 1]))
-            at = j + 1
-            bounds.append(base + at)
-            firsts.append(firsts[-1] + lines)
-            lines = 0
-        lines += int(np.count_nonzero(newline[at:got]))
-        base, last = base + got, block[got - 1]
-        if base - bounds[-1] > most:  # a line too long
-            return None
-    del block, newline
-    ended = last == ord("\n")
+    base, lines, last = start, 0, ord("\n")  # the block's offset; the open step's newlines before it
+    block = bytearray(_READ_BYTES)
+    with opener() as fh:
+        fh.seek(start)
+        while got := fh.readinto(block):
+            at = 0  # the block's newlines before at are counted
+            while (j := block.find(b"\n", max(bounds[-1] + size - 1 - base, at), got)) >= 0:
+                lines += block.count(b"\n", at, j + 1)
+                at = j + 1
+                bounds.append(base + at)
+                firsts.append(firsts[-1] + lines)
+                lines = 0
+            lines += block.count(b"\n", at, got)
+            base, last = base + got, block[got - 1]
+    del block
     if bounds[-1] < base:
         bounds.append(base)
-        firsts.append(firsts[-1] + lines + (not ended))
-    spans, counts = np.diff(bounds), np.diff(firsts)
-    if (spans > most).any() or (6 * counts > spans + 1).any():  # a line too long or too short
-        return None
+        firsts.append(firsts[-1] + lines + (last != ord("\n")))
+    spans = np.diff(bounds)
     rows = np.empty((firsts[-1], 3), dtype=row_dtype(n))
     values = rows.reshape(-1)
-    most_bytes = int(spans.max(initial=0)) + 1  # a newline after a last line with none
-    most_seps = 3 * int(counts.max(initial=0))
+    most_bytes = int(spans.max(initial=0)) + 2  # a blank before, a newline after
 
-    def scratch():
-        return (files.enter_context(open(path, "rb")), np.empty(most_bytes, np.uint8),
-                np.empty((2, most_bytes), bool), np.empty(most_seps, np.intp),
-                np.empty((3, most_seps), np.int32), np.empty((2, most_seps), np.uint8))
+    def tokens(k):
+        return (np.tile(np.frombuffer(b"  \n", np.uint8), -(-k // 3))[:k], np.empty(k, np.intp),
+                np.empty((2, k), np.uint8), np.empty((2, k), np.int64 if width > 9 else np.int32))
+
+    def scratch():  # held[0, 0] stays the blank before a step's bytes
+        return (files.enter_context(opener()), np.full((2, most_bytes), ord(" "), np.uint8),
+                np.empty((2, most_bytes), bool), tokens(3 * int(np.diff(firsts).max(initial=0))))
 
     def step(i, s):
-        own, k, span = s[0], 3 * (firsts[i + 1] - firsts[i]), bounds[i + 1] - bounds[i]
-        buf = s[1][: span + (i == len(spans) - 1 and not ended)]
+        own, (held, value), (digit, edge), tok = s
         own.seek(bounds[i])
-        if own.readinto(buf[:span]) != span:  # the file got shorter since the first pass
-            return False
-        buf[span:] = ord("\n")
-        other, nondigit = s[2][:, : buf.size]
-        index = s[3][:k]
-        lengths, digit, total = s[4][:, :k]
-        found, hits = s[5][:, :k]
-        np.less(buf, ord("0"), out=nondigit)
-        nondigit |= np.greater(buf, ord("9"), out=other)
-        if np.count_nonzero(nondigit) != k:
-            return False
-        seps = np.flatnonzero(nondigit)  # k entries: the step's one new array
-        np.take(buf, seps, out=found, mode="clip")
-        if not np.equal(found.reshape(-1, 3), _LINE_SEPARATORS, out=hits.reshape(-1, 3)).all():
-            return False
-        lengths[0] = seps[0]  # the digits before each separator
-        np.subtract(seps[1:], seps[:-1], out=lengths[1:])
-        lengths[1:] -= 1
-        if lengths.min() < 1 or lengths.max() > width:
-            return False
-        total[:] = 0  # at most 9 digits each
-        for d in range(1, int(lengths.max()) + 1):  # add the d-th digit from the right
-            np.subtract(seps, d, out=index)
-            np.maximum(index, 0, out=index)
-            np.take(buf, index, out=found, mode="clip")
-            np.subtract(found, ord("0"), out=digit, dtype=np.int32)
-            digit *= np.greater_equal(lengths, d, out=hits)
-            digit *= 10 ** (d - 1)
-            total += digit
-        if total.max() >= n:
-            return False
-        values[3 * firsts[i] : 3 * firsts[i + 1]] = total
-        return True
+        read = own.readinto(held[1 : spans[i] + 1])
+        buf = held[: read + 1 + (held[read] != ord("\n"))]
+        buf[-1] = ord("\n")
+        value, digit, edge = value[: buf.size], digit[: buf.size], edge[: buf.size - 1]
+        np.subtract(buf, ord("0"), out=value)
+        np.less(value, 10, out=digit)
+        value *= digit  # 0 at every other byte
+        last = np.flatnonzero(np.greater(digit[:-1], digit[1:], out=edge))
+        k = last.size  # the tokens, each buf[before + 1 : last + 1]
+        pattern, before, (after, got), (total, part) = (
+            a[..., :k] for a in (tok if k <= tok[0].size else tokens(k))
+        )
+        np.take(buf[1:], last, out=after, mode="clip")  # the first byte of each gap
+        faults = []  # offsets on bad lines, one of them on the first
+        gaps = buf.size - 1 - np.count_nonzero(digit)  # the bytes between the tokens
+        if gaps == k and np.equal(after, pattern, out=got.view(bool)).all():  # "a b c\n" lines
+            before[:1] = 0
+            np.add(last[:-1], 1, out=before[1:])
+        else:
+            before[:] = np.flatnonzero(np.less(digit[:-1], digit[1:], out=edge))
+            np.take(buf, before[1:], out=got[:-1], mode="clip")  # the last byte of each gap
+            got[-1:] = ord("\n")
+            ends = (after == ord("\n")) | (got == ord("\n"))  # whether a newline follows the token
+            if (wide := np.flatnonzero(before[1:] - last[:-1] > 2)).size:  # gaps of 3 bytes or more
+                nl = np.flatnonzero(buf == ord("\n"))
+                ends[wide] = (np.searchsorted(nl, last[wide])
+                              < np.searchsorted(nl, before[wide + 1], "right"))
+            faults.append(before[ends != (pattern == ord("\n"))] + 1)
+            if sum(np.count_nonzero(np.equal(buf[1:], c, out=edge)) for c in b" \t\r\n") != gaps:
+                faults.append([re.search(rb"[^0-9 \t\r\n]", buf.tobytes()).start()])
+        total[:] = 0
+        for d in range(width):  # add the (d + 1)-th digit from the right
+            np.take(value, last, out=got, mode="clip")
+            np.multiply(got, 10**d, out=part, dtype=part.dtype)
+            total += part
+            last -= 1
+            np.maximum(last, before, out=last)  # past a token's first digit: the 0 before it
+        bad = np.greater_equal(total, top, out=got.view(bool))
+        if (longer := np.flatnonzero(last > before)).size:  # digits past width: in range if all are 0
+            at = np.column_stack((before, last))[longer].ravel() + 1  # spans of the extra digits
+            bad[longer] |= np.maximum.reduceat(value, at)[::2] > 0
+        faults.append(before[bad] + 1)
+        if (where := np.concatenate(faults)).size:
+            at, text = int(where.min()), buf.tobytes()
+            fields = _FIELD.findall(text[text.rfind(b"\n", 0, at) + 1 : text.find(b"\n", at)])
+            fault = ("expected three indices" if len(fields) != 3 else "non-integer index"
+                     if not all(map(bytes.isdigit, fields)) else f"index out of range 0..{top - 1}")
+            raise FormatError(path, firsts[i] + text.count(b"\n", 0, at) + 2, fault)
+        if k > 3 * (firsts[i + 1] - firsts[i]):  # more lines than the first pass counted
+            raise FormatError(path, firsts[i] + 2, "file changed while it was read")
+        return total
 
+    m = 0  # the values stored: blank lines store none
     with contextlib.ExitStack() as files:  # the workers' own handles
-        if not all(_steps(len(spans), step, scratch)):
-            return None
+        for total in _steps(len(spans), step, scratch):
+            values[m : m + total.size] = total
+            m += total.size
+    if m < values.size:
+        rows.resize((m // 3, 3), refcheck=False)
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows
 
@@ -719,58 +745,28 @@ def _parse_rows(path, fh, start: int, n: int):
 def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
-    The file is read a step at a time, so the read holds the rows it
-    parses and not the file.  A body of plain "a b c" lines is parsed by
-    numpy (_parse_rows); any other body is read line by line through a
-    text wrapper over the open file, which reports the first bad line.  A
-    file that cannot seek, such as a pipe, is held in memory and read line
-    by line.  The system the header names is then built, which validates
-    it; a file that breaks its axioms raises FormatError listing every
-    violation found.
+    The first line is the header "sts <n>" or "pstss <n>".  The body is
+    parsed a step at a time by _parse_rows, which states its grammar, so
+    the read holds the rows and not the file, unless the file cannot seek,
+    as a pipe cannot: its bytes are read once and held.  The system the
+    header names is then built, which validates it; a file that breaks its
+    axioms raises FormatError listing every violation found.
     """
     with open(path, "rb") as fh:
-        seekable = fh.seekable()
-        if not seekable:  # the numpy parser reads the file twice
-            fh = io.BytesIO(fh.read())
-        head = fh.readline()
-        cut = re.match(rb"[^\r\n]*", head).end()  # the header ends at the first \r or \n
-        header = head[:cut].decode("utf-8", errors="replace")
-        plain = head[cut : cut + 1] == b"\n" and head.startswith(header.encode())
-        del head
-        parts = header.split()
-        if len(parts) != 2 or parts[0] not in ("sts", "pstss"):
-            raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            n = -1
-        if n < 0:
-            raise FormatError(path, 1, f"bad point count {parts[1]!r}")
-        rows = _parse_rows(path, fh, cut + 1, n) if plain and seekable else None
-        if rows is None:  # the line parser, storing the rows as the numpy parser does
-            rows, m, top = np.empty((1 << 10, 3), row_dtype(n)), 0, min(n, _INT32_MAX + 1)
-            fh.seek(0)
-            for line_no, line in enumerate(
-                io.TextIOWrapper(fh, encoding="utf-8", errors="replace"), start=1
-            ):
-                if line_no == 1 or not line.strip():  # the header, or a blank line
-                    continue
-                fields = line.split()
-                if len(fields) != 3:
-                    raise FormatError(path, line_no, "expected three indices")
-                try:
-                    t = [int(f) for f in fields]  # a list: tuples fill a freelist that outlives the read
-                except ValueError:
-                    raise FormatError(path, line_no, "non-integer index") from None
-                if any(p < 0 or p >= top for p in t):
-                    raise FormatError(path, line_no, f"index out of range 0..{top - 1}")
-                if m == rows.shape[0]:  # in place: no second copy while it grows
-                    rows.resize((m + m // 4, 3), refcheck=False)
-                rows[m] = t
-                m += 1
-            rows.resize((m, 3), refcheck=False)
-            rows.setflags(write=False)  # handed over: the system adopts it
-    cls = TripleSystem if parts[0] == "sts" else PartialTripleSystem
+        data = None if fh.seekable() else fh.read()  # a pipe's bytes, read once
+        head = (fh if data is None else io.BytesIO(data)).readline()
+    opener = (lambda: open(path, "rb")) if data is None else (lambda: io.BytesIO(data))
+    parts = _FIELD.findall(head)
+    if len(parts) != 2 or parts[0] not in (b"sts", b"pstss"):
+        raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
+    try:
+        n = int(parts[1]) if parts[1].isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        n = -1
+    if n < 0:
+        raise FormatError(path, 1, f"bad point count {parts[1].decode('utf-8', 'replace')!r}")
+    rows = _parse_rows(path, opener, len(head), n)
+    cls = TripleSystem if parts[0] == b"sts" else PartialTripleSystem
     try:
         return cls(n, rows)
     except InvalidSystemError as e:

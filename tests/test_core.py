@@ -49,6 +49,7 @@ import stslab.system
 from stslab.constructions import random_sts
 from stslab.pstss import cyclic_pstss
 from stslab.system import row_dtype
+from read_reference import read_reference
 
 
 FANO = base_sts(7)
@@ -406,6 +407,12 @@ def test_io_pstss_roundtrip(tmp_path):
         ("sts 7\n0 1\n", "three indices"),
         ("sts 7\n0 1 t\n", "non-integer"),
         ("sts 7\n0 1 9\n", "out of range"),
+        ("sts 7\n0 1 +2\n", ":2: non-integer"),
+        ("sts 7\n0 1 \u0662\n", ":2: non-integer"),
+        ("sts 13\n0 1_2 3\n", ":2: non-integer"),
+        ("sts 7\n0 1\f2\n", ":2: expected three indices"),
+        ("sts 7\r0 1 2\r0 3 4\r", ":1: expected header"),
+        ("sts 7\n0 1 2\r0 3 4\r", ":2: expected three indices"),
         ("pstss -3\n", "bad point count"),
         ("sts 7\n0 1 2\n0 1 3\n", "triple count 2, expected 7"),
         ("pstss 4\n0 1 2\n0 1 3\n", "pair (0, 1) covered twice"),
@@ -417,6 +424,13 @@ def test_io_errors(tmp_path, content, needle):
     with pytest.raises(FormatError) as exc:
         read_system(path)
     assert needle in str(exc.value)
+
+
+def test_a_point_count_longer_than_int_takes_is_a_format_error(tmp_path):
+    path = tmp_path / "big.sts"
+    path.write_text("sts " + "9" * 5000 + "\n")
+    with pytest.raises(FormatError, match="bad point count"):
+        read_system(path)
 
 
 def test_read_system_lists_every_violation(tmp_path):
@@ -816,15 +830,14 @@ def test_read_holds_the_rows_once(tmp_path):
     )
 
 
-def test_read_by_lines_holds_the_rows_once(tmp_path, monkeypatch):
-    """The same bound for a file with \\r\\n line ends, which the line
-    parser reads a line at a time into one growing array.  That parser
-    is slow under tracemalloc, so the file is smaller and the scan steps
-    of the constructor (_CHUNK) shrink with it."""
-    monkeypatch.setattr(stslab.system, "_CHUNK", 1 << 10)
-    space = boolean_space(9)
+def test_read_by_lines_holds_the_rows_once(tmp_path):
+    """The same bound for the same file with \\r\\n line ends, whose
+    steps check the bytes between their tokens apart from those of plain
+    "a b c\\n" lines.  The steps' scratch does not shrink with the file,
+    so the file is as large as the plain one."""
+    space = boolean_space(12)
     system = TripleSystem(space.n, space.triples_array())
-    path = tmp_path / "b9.sts"
+    path = tmp_path / "b12.sts"
     write_system(system, path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     peak, rows = _read_peak_and_rows(path, system)
@@ -887,15 +900,13 @@ def test_read_lets_go_of_the_file_before_building(tmp_path, monkeypatch):
     )
 
 
-def _read_outcome(path, by_lines=False, read_bytes=None):
-    """read_system's system or FormatError text; by_lines turns the numpy parser off."""
+def _read_outcome(path, read_bytes=None, reader=read_system):
+    """The reader's system or FormatError text; read_bytes sets _READ_BYTES."""
     with contextlib.ExitStack() as stack:
-        if by_lines:
-            stack.enter_context(mock.patch.object(stslab.system, "_parse_rows", lambda *a: None))
         if read_bytes is not None:
             stack.enter_context(mock.patch.object(stslab.system, "_READ_BYTES", read_bytes))
         try:
-            return read_system(path)
+            return reader(path)
         except FormatError as exc:
             return f"FormatError: {exc}"
 
@@ -903,10 +914,11 @@ def _read_outcome(path, by_lines=False, read_bytes=None):
 _HEADERS = [b"sts 7\n", b"pstss 12\n", b"sts 0\n", b"pstss 1\n", b"sts 13\r\n", b"bad\n", b"sts x\n", b"",
             b"pstss 3000000000\n"]
 _TOKEN = st.sampled_from([b"0", b"1", b"2", b"3", b"4", b"5", b"6", b"7", b"9", b"11", b"12", b"007",
-                          b"", b"+1", b"-0", b"2500000000", b"99999999999999999999", b"\xd9\xa3", b"x"])
-_SEP = st.sampled_from([b" "] * 8 + [b"  ", b"\t", b"", b"\x0c"])
+                          b"", b"+1", b"-0", b"2500000000", b"99999999999999999999", b"\xd9\xa3", b"x",
+                          b"1_2"])
+_SEP = st.sampled_from([b" "] * 8 + [b"  ", b"\t", b"", b"\x0c", b"\x0b", b"\xc2\xa0"])
 _END = st.sampled_from([b"\n"] * 8 + [b"\r\n", b"\r", b" \n", b"\n\n", b""])
-# mostly lines of three tokens, so the numpy parser runs as often as the line parser
+# mostly lines of three tokens, so most bodies parse or fail late
 _BODY_BYTES = (
     st.lists(st.tuples(_TOKEN, _SEP, _TOKEN, _SEP, _TOKEN, _END).map(b"".join), max_size=12)
     .map(b"".join)
@@ -925,7 +937,7 @@ def test_read_fuzz_raises_only_format_error(tmp_path_factory, header, body, read
     path = tmp_path_factory.mktemp("fuzz") / "f.sts"
     path.write_bytes(header + body)
     got = _read_outcome(path, read_bytes=read_bytes)  # any other exception fails the test
-    assert got == _read_outcome(path, by_lines=True)
+    assert got == _read_outcome(path, reader=read_reference)
 
 
 def _render(system, data):
@@ -949,7 +961,7 @@ def test_read_whitespace_variants_agree(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("ws") / "f.sts"
     path.write_bytes(_render(system, data).encode())
     assert _read_outcome(path) == system
-    assert _read_outcome(path, by_lines=True) == system
+    assert _read_outcome(path, reader=read_reference) == system
     assert _read_outcome(path, read_bytes=data.draw(st.sampled_from([1, 5, 64]))) == system
 
 
@@ -1050,8 +1062,8 @@ def test_two_worker_scan_raises_on_an_entry_past_n(monkeypatch):
 
 
 def test_two_worker_parse_falls_back_to_the_first_bad_line(tmp_path, monkeypatch):
-    """Two bad lines in different steps: the numpy parse gives up and the
-    line parser names the first, as it does with one step."""
+    """Two bad lines in different steps, each parsed by either worker: the
+    first is named, as it is with one step."""
     lines = [" ".join(map(str, row)) for row in base_sts(31).triples.tolist()]
     lines[30] = "0 1 x"
     lines[140] = "0 1"
@@ -1070,7 +1082,8 @@ def test_two_worker_parse_falls_back_to_the_first_bad_line(tmp_path, monkeypatch
 def test_read_of_a_file_changed_between_the_passes(tmp_path, monkeypatch, change):
     """A file cut short, or with a byte changed, after the pass that cuts
     it into steps: a step reads fewer bytes than its span, or bytes that
-    fail its checks, and the line parser reads the file as it is now."""
+    fail its checks, and the read gives the reference's outcome on the
+    file as it is now."""
     lines = [" ".join(map(str, row)) for row in base_sts(31).triples.tolist()]
     path = tmp_path / "changed.sts"
     path.write_text("sts 31\n" + "\n".join(lines) + "\n")
@@ -1093,7 +1106,7 @@ def test_read_of_a_file_changed_between_the_passes(tmp_path, monkeypatch, change
     got = _read_outcome(path)
     assert threading.active_count() == before
     monkeypatch.setattr(stslab.system, "_steps", steps)
-    assert got == _read_outcome(path, by_lines=True)
+    assert got == _read_outcome(path, reader=read_reference)
     if change == "overwritten":
         assert got == f"FormatError: {path}:{len(lines) + 1}: non-integer index"
     else:
@@ -1102,7 +1115,7 @@ def test_read_of_a_file_changed_between_the_passes(tmp_path, monkeypatch, change
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_from_a_pipe(tmp_path):
-    """A file that cannot seek is read once, and parsed line by line."""
+    """A file that cannot seek is read once, and its bytes parsed in steps."""
     path, pipe = tmp_path / "fano.sts", tmp_path / "pipe"
     write_system(FANO, path)
     os.mkfifo(pipe)
