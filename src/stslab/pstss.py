@@ -22,6 +22,7 @@ from .system import (
     VerificationError,
     _CHUNK,
     _share,
+    _slices,
     _steps,
     is_subsystem,
     row_dtype,
@@ -274,8 +275,7 @@ def nonspace_triples(rep: ReplacedSystem) -> list:
         k = min(size, rows.shape[0])
         return np.empty((k, 3), np.int32), np.empty(k, np.int32)
 
-    def step(i, s):
-        part = rows[i * size : (i + 1) * size]
+    def step(part, s):
         masks, xor = s[0][: part.shape[0]], s[1][: part.shape[0]]
         np.add(part, 1, out=masks, dtype=np.int32)
         np.bitwise_xor(masks[:, 0], masks[:, 1], out=xor)
@@ -283,7 +283,7 @@ def nonspace_triples(rep: ReplacedSystem) -> list:
         return part[np.flatnonzero(xor)]
 
     out = []
-    for hits in _steps(-(-rows.shape[0] // size), step, scratch):
+    for hits in _steps(_slices(rows, size), step, scratch):
         out += map(tuple, hits.tolist())
     return out
 

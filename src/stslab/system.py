@@ -12,9 +12,8 @@ raises InvalidSystemError.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -43,35 +42,39 @@ def _share(budget: int) -> int:
     return max(budget // 2, 1)
 
 
-def _steps(count: int, step, scratch) -> Iterator:
-    """Yield step(i, s) for i = 0, ..., count - 1, in order.
+def _steps(inputs: Iterable, step, scratch) -> Iterator:
+    """Yield step(x, s) for each x of inputs, in order.
 
-    With two steps or more and two CPUs, the calling thread runs the even
-    steps and one helper thread, started here and joined before this
-    returns, raises or is closed, the odd ones; numpy lets go of the
-    interpreter lock inside its loops, so the two overlap.  Otherwise the
-    calling thread runs every step.  s is the scratch of the worker running
-    the step, made by scratch() in the calling thread, so steps that write
-    into it leave next to no freed memory in the helper's own malloc arena.
-    A step's result may live in s: a worker starts its next step only once
-    the consumer has asked for the result after its last.  The exception
-    of the first step in order that raises is raised here, as if the
-    steps ran one by one.
+    The calling thread draws the inputs two at a time, the next two once
+    both steps before have returned and their results were taken.  With
+    two inputs or more and two CPUs, it runs the first step of each two
+    and a helper thread, started here and joined before this returns,
+    raises or is closed, the second; numpy lets go of the interpreter lock
+    inside its loops, so the two overlap.  s is the scratch of the worker
+    running the step, made by scratch() in the calling thread, so steps
+    that write into it leave next to no freed memory in the helper's own
+    malloc arena.  The error of the first step in order that raises is
+    raised here, as if the steps ran one by one.
     """
-    if count < 2 or _cpus() < 2:
-        own = scratch()
-        for i in range(count):
-            yield step(i, own)
+    inputs = iter(inputs)
+    two = list(itertools.islice(inputs, 2))
+    if len(two) < 2 or _cpus() < 2:
+        yield from map(step, itertools.chain(two, inputs), itertools.repeat(scratch()))
         return
     own, theirs = scratch(), scratch()
     from concurrent.futures import ThreadPoolExecutor  # not at import stslab: it loads logging
 
     with ThreadPoolExecutor(1, thread_name_prefix="stslab-step") as helper:
-        for i in range(0, count, 2):
-            odd = helper.submit(step, i + 1, theirs) if i + 1 < count else None
-            yield step(i, own)
-            if odd is not None:
-                yield odd.result()
+        while two:
+            second = [helper.submit(step, x, theirs) for x in two[1:]]
+            yield step(two[0], own)
+            yield from (odd.result() for odd in second)
+            two = list(itertools.islice(inputs, 2))
+
+
+def _slices(arr: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """arr[lo : lo + size] for lo = 0, size, 2 * size, ...: the inputs of a row pass's steps."""
+    return (arr[lo : lo + size] for lo in range(0, len(arr), size))
 
 
 def _triple_keys(rows: np.ndarray, n: int, out=None) -> np.ndarray:
@@ -162,10 +165,9 @@ def _scan_rows(rows: np.ndarray, n: int) -> tuple:
         return (np.empty((3, k), rows.dtype), np.empty(k, rows.dtype), np.empty(k, np.int64),
                 np.empty(k, bool), np.empty((2, k), np.intp))
 
-    def step(i, s):
+    def step(part, s):
         """(first key, last key) if the step's rows are in order, else None;
         and whether a row repeats a point."""
-        part = rows[i * size : (i + 1) * size]
         k = part.shape[0]
         cols, low, keys, flags, (wide, oa) = (x[..., :k] for x in s)
         np.copyto(cols, part.T)
@@ -197,7 +199,7 @@ def _scan_rows(rows: np.ndarray, n: int) -> tuple:
         return bounds, repeats
 
     ordered, distinct, last = keyed, True, -1
-    for bounds, repeats in _steps(-(-m // size), step, scratch):
+    for bounds, repeats in _steps(_slices(rows, size), step, scratch):
         ordered = ordered and bounds is not None and bounds[0] >= last
         last = bounds[1] if ordered else last
         distinct = distinct and not repeats
@@ -225,14 +227,14 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     def scratch():
         return np.empty((3, min(size, m)), rows.dtype), np.empty(min(size, m), rows.dtype)
 
-    def step(i, s):
-        part = rows[i * size : (i + 1) * size]
+    def step(parts, s):
+        part, into = parts
         cols, low = s[0][:, : part.shape[0]], s[1][: part.shape[0]]
         np.copyto(cols, part.T)
         _sort_columns(cols, low)
-        _triple_keys(cols.T, n, out=keys[i * size : (i + 1) * size])
+        _triple_keys(cols.T, n, out=into)
 
-    for _ in _steps(-(-m // size), step, scratch):
+    for _ in _steps(zip(_slices(rows, size), _slices(keys, size)), step, scratch):
         pass
     return keys
 
@@ -244,14 +246,14 @@ def _rows_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
     out = np.empty((keys.size, 3), dtype=row_dtype(n))
     size = _share(_CHUNK)
 
-    def step(i, s):
-        part, rows = keys[i * size : (i + 1) * size], out[i * size : (i + 1) * size]
+    def step(parts, s):
+        part, rows = parts
         for j in (2, 1):
             np.remainder(part, n, out=rows[:, j], casting="unsafe")
             np.floor_divide(part, n, out=part)
         rows[:, 0] = part
 
-    for _ in _steps(-(-keys.size // size), step, lambda: None):
+    for _ in _steps(zip(_slices(keys, size), _slices(out, size)), step, lambda: None):
         pass
     return out
 
@@ -581,8 +583,7 @@ def write_system(ts: _SystemBase, path) -> str:
         keep, lines = np.empty(cells.nbytes, bool), np.empty(cells.nbytes, np.uint8)
         return np.empty((k, 3), np.intp), cells, keep, lines
 
-    def step(i, s):
-        part = rows[i * size : (i + 1) * size]
+    def step(part, s):
         if not tabled:
             cells = _decimal_cells(part, width)
             return cells[cells != 0].tobytes()
@@ -600,7 +601,7 @@ def write_system(ts: _SystemBase, path) -> str:
     digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        for lines in _steps(-(-m // size), step, scratch):
+        for lines in _steps(_slices(rows, size), step, scratch):
             digest.update(lines)
             fh.write(lines)
     return digest.hexdigest()
@@ -613,13 +614,44 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-_READ_BYTES = 1 << 20  # bytes in the blocks of the first pass, and in the steps the two workers hold
+_READ_BYTES = 1 << 20  # bytes in the blocks of the two steps the workers hold at once
 _FIELD = re.compile(rb"[^ \t\r\n]+")  # a field of a line: a maximal run of non-blank bytes
 
 
-def _parse_rows(path, opener, start: int, n: int) -> np.ndarray:
-    """The rows of the body from byte start on of the file that opener()
-    opens, as a read-only (m, 3) array of row_dtype(n).
+def _blocks(fh, size: int, tokens) -> Iterator[tuple]:
+    """(block, lines, work, tok) for the rest of fh, read once: block views
+    a blank, then size bytes read on to the end of their last line (which
+    gets a newline if it has none); lines counts the newlines before it.
+    Blocks take turns in two buffers, each with its step's scratch, work
+    (three bytes a byte) and tok = tokens(k), k three per newline or more,
+    replaced here when outgrown; so a block and its result must be done
+    with before the block two after it is drawn, as _steps does."""
+    cap = size + 2  # a blank, size bytes and a newline
+    slots = [[bytearray(b" ") * cap, np.empty((3, cap), np.uint8), tokens(0)] for _ in range(2)]
+    lines = 0
+    for slot in itertools.cycle(slots):
+        raw = slot[0]
+        end = 1 + fh.readinto(memoryview(raw)[1 : size + 1])
+        tail = fh.readline()  # the rest of the last line read
+        if end + len(tail) >= len(raw):  # no room for a newline after it
+            raw = slot[0] = raw[:end] + bytes(len(tail) + 1)
+            slot[1] = np.empty((3, len(raw)), np.uint8)
+        raw[end : end + len(tail)] = tail
+        end += len(tail)
+        if end == 1:
+            return
+        if raw[end - 1] != ord("\n"):
+            raw[end], end = ord("\n"), end + 1
+        count = raw.count(b"\n", 1, end)
+        if slot[2][0].size < 3 * count:
+            slot[2] = tokens(3 * count)
+        yield np.frombuffer(raw, np.uint8, end), lines, slot[1], slot[2]
+        lines += count
+
+
+def _parse_rows(path, fh, n: int) -> np.ndarray:
+    """The rows of the rest of fh, the body of the file at path, as a
+    read-only (m, 3) array of row_dtype(n).
 
     The grammar of the body: every byte is a digit 0-9, a blank (space,
     tab or \\r) or a newline; a token is a maximal run of digits; every
@@ -628,61 +660,32 @@ def _parse_rows(path, opener, start: int, n: int) -> np.ndarray:
     raises FormatError with the first rule broken there, counting the
     fields between blanks: three fields, then digits only, then the range.
 
-    One pass reads the body in blocks of _READ_BYTES and cuts it into
-    steps of about _READ_BYTES / 2 at line ends, counting their lines, a
-    row each.  Each step (_steps) reads its bytes through a handle of its
-    worker's own, so a file cut short since that pass is parsed as it now
-    is.  The falling edges of its digits end its tokens.  When every gap
-    between them is the one byte of an "a b c\\n" line, one take checks
-    them; else the end bytes of each gap (a searchsorted into the newlines
-    for a longer one) tell whether it holds a newline, and byte counts
-    whether any byte is outside the grammar.  Values are summed from the
-    last digits in int32 (int64 for 10-digit indices); a longer token is
-    in range only if its digits beyond those are 0.  Each step's values
-    are copied on after those of the steps before it.
+    The calling thread reads the body once, in blocks of whole lines
+    (_blocks), which two workers parse (_steps): the falling edges of a
+    block's digits end its tokens; one take checks the gaps between them
+    when each is the one byte of an "a b c\\n" line, else the end bytes of
+    each gap (a searchsorted into the newlines for a longer one) tell
+    whether it holds a newline, and byte counts whether any byte is outside
+    the grammar.  Values are summed from the last digits in int32 (int64
+    for 10-digit indices); a longer token is in range only if its digits
+    beyond those are 0.  The rows are made for the fewer of n(n-1)/6 and a
+    row per six bytes of a file (of a block, for a pipe); more double them.
+    A file smaller than a block is read in one block of its size.
     """
     top = min(n, _INT32_MAX + 1)  # the indices 0..top - 1 are in range
     width = len(str(max(top - 1, 0)))  # digits of the largest index, at most 10
     size = _share(_READ_BYTES)
-    bounds, firsts = [start], [0]  # step i is bytes bounds[i]:bounds[i + 1], after firsts[i] lines
-    base, lines, last = start, 0, ord("\n")  # the block's offset; the open step's newlines before it
-    block = bytearray(_READ_BYTES)
-    with opener() as fh:
-        fh.seek(start)
-        while got := fh.readinto(block):
-            at = 0  # the block's newlines before at are counted
-            while (j := block.find(b"\n", max(bounds[-1] + size - 1 - base, at), got)) >= 0:
-                lines += block.count(b"\n", at, j + 1)
-                at = j + 1
-                bounds.append(base + at)
-                firsts.append(firsts[-1] + lines)
-                lines = 0
-            lines += block.count(b"\n", at, got)
-            base, last = base + got, block[got - 1]
-    del block
-    if bounds[-1] < base:
-        bounds.append(base)
-        firsts.append(firsts[-1] + lines + (last != ord("\n")))
-    spans = np.diff(bounds)
-    rows = np.empty((firsts[-1], 3), dtype=row_dtype(n))
-    values = rows.reshape(-1)
-    most_bytes = int(spans.max(initial=0)) + 2  # a blank before, a newline after
+    body = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else size
+    rows = np.empty((min(n * (n - 1) // 6, max(body, 0) // 6 + 1), 3), dtype=row_dtype(n))
 
     def tokens(k):
         return (np.tile(np.frombuffer(b"  \n", np.uint8), -(-k // 3))[:k], np.empty(k, np.intp),
                 np.empty((2, k), np.uint8), np.empty((2, k), np.int64 if width > 9 else np.int32))
 
-    def scratch():  # held[0, 0] stays the blank before a step's bytes
-        return (files.enter_context(opener()), np.full((2, most_bytes), ord(" "), np.uint8),
-                np.empty((2, most_bytes), bool), tokens(3 * int(np.diff(firsts).max(initial=0))))
-
-    def step(i, s):
-        own, (held, value), (digit, edge), tok = s
-        own.seek(bounds[i])
-        read = own.readinto(held[1 : spans[i] + 1])
-        buf = held[: read + 1 + (held[read] != ord("\n"))]
-        buf[-1] = ord("\n")
-        value, digit, edge = value[: buf.size], digit[: buf.size], edge[: buf.size - 1]
+    def step(block, s):
+        buf, lines, work, tok = block
+        value, digit, edge = work[:, : buf.size]
+        digit, edge = digit.view(bool), edge[:-1].view(bool)
         np.subtract(buf, ord("0"), out=value)
         np.less(value, 10, out=digit)
         value *= digit  # 0 at every other byte
@@ -726,18 +729,16 @@ def _parse_rows(path, opener, start: int, n: int) -> np.ndarray:
             fields = _FIELD.findall(text[text.rfind(b"\n", 0, at) + 1 : text.find(b"\n", at)])
             fault = ("expected three indices" if len(fields) != 3 else "non-integer index"
                      if not all(map(bytes.isdigit, fields)) else f"index out of range 0..{top - 1}")
-            raise FormatError(path, firsts[i] + text.count(b"\n", 0, at) + 2, fault)
-        if k > 3 * (firsts[i + 1] - firsts[i]):  # more lines than the first pass counted
-            raise FormatError(path, firsts[i] + 2, "file changed while it was read")
+            raise FormatError(path, lines + text.count(b"\n", 0, at) + 2, fault)
         return total
 
     m = 0  # the values stored: blank lines store none
-    with contextlib.ExitStack() as files:  # the workers' own handles
-        for total in _steps(len(spans), step, scratch):
-            values[m : m + total.size] = total
-            m += total.size
-    if m < values.size:
-        rows.resize((m // 3, 3), refcheck=False)
+    for total in _steps(_blocks(fh, min(size, max(body, 1)), tokens), step, lambda: None):
+        if m + total.size > rows.size:
+            rows.resize((max(2 * len(rows), (m + total.size) // 3), 3), refcheck=False)
+        rows.reshape(-1)[m : m + total.size] = total
+        m += total.size
+    rows.resize((m // 3, 3), refcheck=False)
     rows.setflags(write=False)  # handed over: the system adopts it
     return rows
 
@@ -745,27 +746,22 @@ def _parse_rows(path, opener, start: int, n: int) -> np.ndarray:
 def read_system(path):
     """Parse an "sts/1" file into a TripleSystem or PartialTripleSystem.
 
-    The first line is the header "sts <n>" or "pstss <n>".  The body is
-    parsed a step at a time by _parse_rows, which states its grammar, so
-    the read holds the rows and not the file, unless the file cannot seek,
-    as a pipe cannot: its bytes are read once and held.  The system the
-    header names is then built, which validates it; a file that breaks its
-    axioms raises FormatError listing every violation found.
+    The first line is the header "sts <n>" or "pstss <n>"; the same handle
+    reads the body on for _parse_rows, which states its grammar.  The
+    system the header names is then built, which validates it; a file that
+    breaks its axioms raises FormatError listing every violation found.
     """
     with open(path, "rb") as fh:
-        data = None if fh.seekable() else fh.read()  # a pipe's bytes, read once
-        head = (fh if data is None else io.BytesIO(data)).readline()
-    opener = (lambda: open(path, "rb")) if data is None else (lambda: io.BytesIO(data))
-    parts = _FIELD.findall(head)
-    if len(parts) != 2 or parts[0] not in (b"sts", b"pstss"):
-        raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
-    try:
-        n = int(parts[1]) if parts[1].isdigit() else -1
-    except ValueError:  # more digits than int() converts
-        n = -1
-    if n < 0:
-        raise FormatError(path, 1, f"bad point count {parts[1].decode('utf-8', 'replace')!r}")
-    rows = _parse_rows(path, opener, len(head), n)
+        parts = _FIELD.findall(fh.readline())
+        if len(parts) != 2 or parts[0] not in (b"sts", b"pstss"):
+            raise FormatError(path, 1, "expected header 'sts <n>' or 'pstss <n>'")
+        try:
+            n = int(parts[1]) if parts[1].isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            n = -1
+        if n < 0:
+            raise FormatError(path, 1, f"bad point count {parts[1].decode('utf-8', 'replace')!r}")
+        rows = _parse_rows(path, fh, n)
     cls = TripleSystem if parts[0] == b"sts" else PartialTripleSystem
     try:
         return cls(n, rows)

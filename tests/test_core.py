@@ -830,6 +830,16 @@ def test_read_holds_the_rows_once(tmp_path):
     )
 
 
+def test_read_of_a_small_file_holds_no_full_block(tmp_path):
+    """A file smaller than a block is read in one block of its own size,
+    not in buffers of _READ_BYTES."""
+    system = base_sts(31)
+    path = tmp_path / "s31.sts"
+    write_system(system, path)
+    peak, _ = _read_peak_and_rows(path, system)
+    assert peak < stslab.system._READ_BYTES / 10, f"{peak} bytes for {path.stat().st_size} of file"
+
+
 def test_read_by_lines_holds_the_rows_once(tmp_path):
     """The same bound for the same file with \\r\\n line ends, whose
     steps check the bytes between their tokens apart from those of plain
@@ -912,7 +922,7 @@ def _read_outcome(path, read_bytes=None, reader=read_system):
 
 
 _HEADERS = [b"sts 7\n", b"pstss 12\n", b"sts 0\n", b"pstss 1\n", b"sts 13\r\n", b"bad\n", b"sts x\n", b"",
-            b"pstss 3000000000\n"]
+            b"pstss 3000000000\n", b"sts 3000000000\n"]
 _TOKEN = st.sampled_from([b"0", b"1", b"2", b"3", b"4", b"5", b"6", b"7", b"9", b"11", b"12", b"007",
                           b"", b"+1", b"-0", b"2500000000", b"99999999999999999999", b"\xd9\xa3", b"x",
                           b"1_2"])
@@ -1044,7 +1054,7 @@ def test_steps_raise_the_first_error_in_step_order():
 
         before = threading.active_count()
         with pytest.raises(ValueError) as exc:
-            list(stslab.system._steps(8, step, lambda: None))
+            list(stslab.system._steps(range(8), step, lambda: None))
         assert exc.value.args == (min(bad),), bad
         assert threading.active_count() == before
 
@@ -1078,39 +1088,79 @@ def test_two_worker_parse_falls_back_to_the_first_bad_line(tmp_path, monkeypatch
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("change", ["truncated", "overwritten"])
-def test_read_of_a_file_changed_between_the_passes(tmp_path, monkeypatch, change):
-    """A file cut short, or with a byte changed, after the pass that cuts
-    it into steps: a step reads fewer bytes than its span, or bytes that
-    fail its checks, and the read gives the reference's outcome on the
-    file as it is now."""
-    lines = [" ".join(map(str, row)) for row in base_sts(31).triples.tolist()]
-    path = tmp_path / "changed.sts"
-    path.write_text("sts 31\n" + "\n".join(lines) + "\n")
-    size = path.stat().st_size
-    steps = stslab.system._steps
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("bad", [None, 3, 6])
+def test_steps_draw_the_next_two_inputs_after_both_steps_before(monkeypatch, cpus, bad):
+    """Inputs i + 2 and i + 3 are drawn only once steps i and i + 1 have
+    returned and their results were taken, so an input may reuse what the
+    input two before it held.  Results come in order, and the failing
+    step's error is raised."""
+    monkeypatch.setattr(stslab.system, "_cpus", lambda: cpus)
+    events, threads, taken = [], set(), []  # list.append is atomic: the helper records too
 
-    def changing_steps(count, step, scratch):
+    def inputs():
+        for i in range(9):
+            events.append(("drawn", i))
+            yield i
+
+    def step(i, s):
+        events.append(("returned", i))
+        threads.add(threading.current_thread().name)
+        if i == bad:
+            raise ValueError(i)
+        return i
+
+    def consume():
+        for x in stslab.system._steps(inputs(), step, lambda: None):
+            events.append(("taken", x))
+            taken.append(x)
+
+    if bad is None:
+        consume()
+    else:
+        with pytest.raises(ValueError) as exc:
+            consume()
+        assert exc.value.args == (bad,)
+    assert taken == list(range(9 if bad is None else bad))
+    drawn = [i for kind, i in events if kind == "drawn"]
+    assert drawn == list(range(len(drawn))) and len(drawn) <= (9 if bad is None else bad + 2)
+    for i in range(0, len(drawn) - 2, 2):
+        before = set(events[: events.index(("drawn", i + 2))])
+        assert {("returned", i), ("returned", i + 1), ("taken", i), ("taken", i + 1)} <= before
+    assert (len(threads) == 2) == (cpus == 2), threads
+
+
+@pytest.mark.parametrize("change", ["truncated", "overwritten"])
+def test_read_of_a_file_changed_while_it_is_read(tmp_path, monkeypatch, change):
+    """A file cut short, or with a byte changed, once its first block has
+    been drawn: the one pass parses the bytes the handle gives, buffered
+    before the change or read after it, so the read returns a system or
+    raises FormatError, and leaves no thread running."""
+    space = boolean_space(7)  # 25 KB of lines: more than one handle buffer
+    system = TripleSystem(space.n, space.triples_array())
+    path = tmp_path / "changed.sts"
+    write_system(system, path)
+    size = path.stat().st_size
+    blocks = stslab.system._blocks
+
+    def changing_blocks(*args):
+        drawn = blocks(*args)
+        yield next(drawn)
         if change == "truncated":
             os.truncate(path, size // 2)
         else:
-            with open(path, "r+b") as fh:  # in place: the handles already open see it
+            with open(path, "r+b") as fh:  # in place: the open handle sees it
                 fh.seek(size - 2)  # the last digit of the last line
                 fh.write(b"x")
-        yield from steps(count, step, scratch)
+        yield from drawn
 
     monkeypatch.setattr(stslab.system, "_READ_BYTES", 512)
     monkeypatch.setattr(stslab.system, "_cpus", lambda: 2)
-    monkeypatch.setattr(stslab.system, "_steps", changing_steps)
+    monkeypatch.setattr(stslab.system, "_blocks", changing_blocks)
     before = threading.active_count()
     got = _read_outcome(path)
     assert threading.active_count() == before
-    monkeypatch.setattr(stslab.system, "_steps", steps)
-    assert got == _read_outcome(path, reader=read_reference)
-    if change == "overwritten":
-        assert got == f"FormatError: {path}:{len(lines) + 1}: non-integer index"
-    else:
-        assert path.stat().st_size == size // 2 and got.startswith(f"FormatError: {path}:")
+    assert got == system or isinstance(got, str) and got.startswith(f"FormatError: {path}:"), got
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -1124,6 +1174,27 @@ def test_read_from_a_pipe(tmp_path):
     got = read_system(pipe)
     writer.join(timeout=10)
     assert not writer.is_alive() and got == FANO
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_pipe_holds_the_rows_once(tmp_path):
+    """A pipe streams as a file does: the 2.8M-row file read through a
+    FIFO stays under the bound of test_read_holds_the_rows_once, though
+    its rows cannot be sized from its length."""
+    space = boolean_space(12)
+    system = TripleSystem(space.n, space.triples_array())
+    path, pipe = tmp_path / "b12.sts", tmp_path / "pipe"
+    write_system(system, path)
+    data = path.read_bytes()  # read before tracing starts: these are the writer's bytes
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    peak, rows = _read_peak_and_rows(pipe, system)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert peak < 2 * rows, (
+        f"{peak / 1e6:.1f} MB for {len(data) / 1e6:.1f} MB of pipe, {rows / 1e6:.1f} MB of rows"
+    )
 
 
 def test_two_worker_write_that_fails_joins_its_helper(tmp_path, monkeypatch):
