@@ -271,9 +271,6 @@ class CyclicLabeling:
 
         return is_anchor_triple(0), m % 3 == 0 and all(map(is_anchor_triple, (m // 3, 2 * m // 3)))
 
-    def residue_of(self) -> dict:
-        return {p: a for a, p in enumerate(self.point_of)}
-
     def a6(self) -> frozenset:
         """The 6-torsion subgroup {a : 6a = 0 mod m} in residue form."""
         if self.m == 0:
@@ -388,44 +385,37 @@ class MooreInput:
 
     def point_names(self) -> list:
         """Sidecar labels: one string per U-point."""
-        out = []
-        for p in self.x_sorted:
-            out.append(f"x:{p}")
-        for v in range(self.v.n):
-            for a in range(self.m):
-                out.append(f"({v},{a})")
-        return out
+        pairs = [f"({v},{a})" for v in range(self.v.n) for a in range(self.m)]
+        return [f"x:{p}" for p in self.x_sorted] + pairs
 
 
 def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     """The product's triples as an (m, 3) array of row_dtype(inp.u_size),
     rows unsorted: the (M1) and (M2) rows of each triple of Y in turn,
     then the (M3) rows of each triple of V.  Every row is written in
-    place, into the one array returned.
+    place, into the one array returned.  A triple of Y, mapped to U at
+    v = 0 with its points off X first, is its (M1) row or its v = 0 (M2)
+    row; the row of each other v adds v*m to the points off X.
 
     sigma, a residue permutation, twists the (M3) product triples.
     """
     m, nx, nv = inp.m, len(inp.x_points), inp.v.n
-    xi = {p: i for i, p in enumerate(inp.x_sorted)}  # Y-point of X -> U-index
-    res = inp.labeling.residue_of()
-    splits = []  # per triple of Y: its residues outside X, then its U-indices in X
-    for t in inp.y.triples.tolist():
-        outs = [res[p] for p in t if p not in inp.x_points]
-        if len(outs) == 1:  # X closed: a triple cannot meet X in exactly two points
-            raise VerificationError("closed subsystem violated")
-        splits.append((outs, [xi[p] for p in t if p in inp.x_points]))
-    own = sum(nv if outs else 1 for outs, _ in splits)
+    u_of = np.empty(inp.y.n, dtype=np.int32)  # X's points to their rank, others to nx + residue
+    u_of[[*inp.x_sorted, *inp.labeling.point_of]] = np.arange(nx + m)
+    t = u_of.take(inp.y.triples)
+    t = np.take_along_axis(t, np.argsort(t < nx, axis=1, kind="stable"), axis=1)  # off X first
+    outs = np.count_nonzero(t >= nx, axis=1)
+    if np.any(outs == 1):  # X closed: a triple cannot meet X in exactly two points
+        raise VerificationError("closed subsystem violated")
+    count = np.where(outs > 0, nv, 1)  # (M1) triples inside X give one row
+    first = np.cumsum(count) - count
+    own = int(count.sum())
     rows = np.empty((own + inp.v.n_triples * m * m, 3), dtype=row_dtype(inp.u_size))
-    u_base = nx + np.arange(nv)[:, None] * m
-    k = 0
-    for outs, ins in splits:
-        if not outs:  # (M1) triples inside X
-            rows[k] = ins
-            k += 1
-        else:  # (M2) one row per point v of V: u_point(v, a) per residue, then X
-            rows[k : k + nv, : len(outs)] = u_base + outs
-            rows[k : k + nv, len(outs) :] = ins
-            k += nv
+    rows[first] = t
+    first, t = first[outs > 0], t[outs > 0]
+    step = (t >= nx) * np.int32(m)
+    for v in range(1, nv):  # (M2): u_point(v, a) per residue, then X
+        rows[first + v] = np.add(t, step, out=t)
     # (M3) product triples: labels multiplying to the identity, for every
     # triple (v1, v2, v3) of V and every a1, a2 in that order
     a1, a2 = np.divmod(np.arange(m * m, dtype=np.int32), m)
@@ -433,7 +423,7 @@ def _moore_triples(inp: MooreInput, sigma=None) -> np.ndarray:
     if sigma is not None:
         labels = np.asarray(sigma, dtype=np.int32)[labels]
     starts = nx + inp.v.triples[:, None, :].astype(np.int32) * m
-    np.add(starts, labels, out=rows[k:].reshape(inp.v.n_triples, m * m, 3), casting="unsafe")
+    np.add(starts, labels, out=rows[own:].reshape(inp.v.n_triples, m * m, 3), casting="unsafe")
     return rows
 
 
@@ -583,39 +573,28 @@ def paired_via_design(s: TripleSystem, design: BlockDesign) -> TripleSystem:
 
 
 def random_sts(n: int, rng: random.Random) -> TripleSystem:
-    """Hill-climbing generator of a uniform-ish random STS(n)."""
+    """Hill-climbing generator of a uniform-ish random STS(n).  It keeps
+    only its third-point table and each point's uncovered partners, steps
+    while some point has one, and reads its rows off the table."""
     if not _admissible(n) or n < 7:
         raise ConstructionError(f"no interesting triple system on {n} points")
-    want = n * (n - 1) // 6
     third = [[-1] * n for _ in range(n)]  # symmetric; -1 on uncovered pairs
     missing = [set(range(n)) - {p} for p in range(n)]
-    triples: set = set()
-
-    def add(t):
-        a, b, c = t
-        triples.add(t)
-        for u_, v_, w_ in ((a, b, c), (a, c, b), (b, c, a)):
-            third[u_][v_] = third[v_][u_] = w_
-            missing[u_].discard(v_)
-            missing[v_].discard(u_)
-
-    def remove(t):
-        a, b, c = t
-        triples.discard(t)
-        for u_, v_ in ((a, b), (a, c), (b, c)):
-            third[u_][v_] = third[v_][u_] = -1
-            missing[u_].add(v_)
-            missing[v_].add(u_)
-
-    while len(triples) < want:
-        live = [p for p in range(n) if missing[p]]
+    while live := [p for p in range(n) if missing[p]]:
         x = rng.choice(live)
         y, z = rng.sample(sorted(missing[x]), 2)
         old = third[y][z]
         if old >= 0:
-            remove(tuple(sorted((y, z, old))))
-        add(tuple(sorted((x, y, z))))
-    return TripleSystem.from_triples(n, sorted(triples))
+            for a, b in ((y, z), (y, old), (z, old)):
+                third[a][b] = third[b][a] = -1
+                missing[a].add(b)
+                missing[b].add(a)
+        for a, b, c in ((x, y, z), (x, z, y), (y, z, x)):
+            third[a][b] = third[b][a] = c
+            missing[a].discard(b)
+            missing[b].discard(a)
+    rows = [(a, b, c) for a, row in enumerate(third) for b, c in enumerate(row) if a < b < c]
+    return TripleSystem(n, rows)
 
 
 _RIGID_ATTEMPTS = 200  # random systems tried before the search gives up

@@ -101,17 +101,17 @@ def _normal_form(n: int, triples) -> tuple:
     the pass that checks them, and only if it met one out of order.  A
     read-only array in normal form of the row dtype that owns its data is
     adopted (its maker handed it over); any other array passed in is
-    copied, so a system never shares a writable buffer.  Entries of any
-    other dtype are checked before the cast.  A cast is let go before the
-    sort, so sorting holds the caller's triples, the int64 keys and then
-    the new rows.
+    copied, so a system never shares a writable buffer.  Integer entries
+    of another dtype are checked before the cast, other entries refused.
+    A cast is let go before the sort, so sorting holds the caller's
+    triples, the int64 keys and then the new rows.
     """
     if n < 0:
         raise ValueError(f"point count {n} is negative")
     dtype = row_dtype(n)
-    if not (isinstance(triples, np.ndarray) and triples.dtype.kind in "iu"):
-        triples = np.asarray(triples, dtype=np.int64)
-    arr = triples
+    arr = triples = np.asarray(triples)  # no forced dtype: 0.5 or "1" is refused, not cast
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"triple entries must be integers, got {arr.dtype}")
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -478,7 +478,6 @@ def is_subsystem(ts: _SystemBase, points: Iterable) -> bool:
 
 
 PLANE_STEP = 1 << 14  # plane tests per step; each step's scratch is a few int32 arrays
-_FLAT_MAX_N = 46_340  # largest n with n * n < 2**31, so q * n + r fits int32
 
 
 def fano_planes(ts: _SystemBase, p, q1, r1, q2, r2) -> tuple:
@@ -489,7 +488,7 @@ def fano_planes(ts: _SystemBase, p, q1, r1, q2, r2) -> tuple:
     fail the first comparison and are dropped before the other three.
     """
     n, flat = ts.n, ts.incidence.third.reshape(-1)
-    wide = np.int64 if n > _FLAT_MAX_N else np.int32
+    wide = np.int32 if n * n < 2**31 else np.int64  # so that q * n + r cannot wrap
 
     def third(q, r):
         return flat.take(q.astype(wide, copy=False) * n + r)
@@ -523,14 +522,16 @@ def restrict(ts: _SystemBase, points: Iterable) -> tuple:
 
     Returns (system, old_of_new) where old_of_new[i] is the ambient index of
     the i-th point of the restriction.  A full system restricted to a set
-    that is not closed raises InvalidSystemError, and a point outside
-    0..n-1 raises ValueError.
+    that is not closed raises InvalidSystemError, and a point that is no
+    integer or lies outside 0..n-1 raises ValueError.
     """
-    pts = np.unique(np.fromiter(points, dtype=np.int64))
+    pts = np.unique(np.asarray(list(points)))
+    if pts.size and pts.dtype.kind not in "iu":
+        raise ValueError(f"restricted points must be integers, got {pts.dtype}")
     if pts.size and (pts[0] < 0 or pts[-1] >= ts.n):
         raise ValueError(f"restricted points must lie in 0..{ts.n - 1}")
     new_of_old = np.full(ts.n, -1, dtype=np.int32)
-    new_of_old[pts] = np.arange(pts.size)
+    new_of_old[pts.astype(np.intp)] = np.arange(pts.size)
     rows = new_of_old[ts.triples]
     cls = TripleSystem if isinstance(ts, TripleSystem) else PartialTripleSystem
     return cls(pts.size, rows[np.all(rows >= 0, axis=1)]), pts.tolist()

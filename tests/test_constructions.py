@@ -44,6 +44,7 @@ from stslab.perm import PermutationGroup
 from stslab.constructions import _is_projective_15, _moore_triples, random_sts
 from stslab.pstss import attach_gadgets, corollary46_build, corollary47_build, cyclic_pstss
 from stslab.system import restrict, row_dtype, span
+from random_reference import random_sts_reference
 from test_core import _update_int32
 
 
@@ -398,7 +399,7 @@ def _moore_triples_loop(inp, sigma=None):
     lab = inp.labeling
     m = lab.m
     xi = {p: i for i, p in enumerate(sorted(inp.x_points))}  # X's points come first in U
-    res = lab.residue_of()
+    res = {p: a for a, p in enumerate(lab.point_of)}
     sig = (lambda a: sigma[a]) if sigma is not None else (lambda a: a)
     triples = []
     for t in inp.y.iter_triples():
@@ -439,13 +440,16 @@ def _grid_inputs():
 
 
 def test_moore_triples_match_loop_oracle():
+    """The criterion grid, and three edges of the point map: an empty X
+    ((0, 9, 7)) and a Y - X much wider than X ((1, 85, 7) and (3, 139, 7))."""
+    wide = [((x, y, v), _inp(x, y, v)) for x, y, v in ((0, 9, 7), (1, 85, 7), (3, 139, 7))]
     built = 0
-    for params, inp in _grid_inputs():
+    for params, inp in [*_grid_inputs(), *wide]:
         got = _moore_triples(inp)
         want = np.array(_moore_triples_loop(inp), dtype=np.int32)
         assert got.dtype == row_dtype(inp.u_size) and np.array_equal(got, want), params
         built += 1
-    assert built == 27
+    assert built == 30
 
 
 # SHA-256 of the rows of moore(_inp(x, y, v)) as int32, as built by the
@@ -662,6 +666,14 @@ def test_random_sts_valid():
     rng = random.Random(1)
     for n in (7, 9, 13, 15):
         assert validate_sts(random_sts(n, rng)).ok
+
+
+@pytest.mark.parametrize("n", [7, 9, 13, 15, 19, 27, 45, 63, 99])
+def test_random_sts_matches_reference_climber(n):
+    """The climber that keeps only its table draws the same numbers, so it
+    gives the same system as the one that kept a set of triples."""
+    for seed in range(5):
+        assert random_sts(n, random.Random(seed)) == random_sts_reference(n, random.Random(seed))
 
 
 def test_rigid_sts_search():

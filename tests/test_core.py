@@ -369,6 +369,14 @@ def test_restrict_rejects_points_out_of_range(outside):
         restrict(cyclic_pstss(4).system, {0, 1, 2, outside})
 
 
+@pytest.mark.parametrize("points", [[0.5, 1, 6], [0.0, 1.0, 3.0], ["0", "1", "3"]])
+def test_restrict_refuses_non_integer_points(points):
+    """0.5 would truncate to 0 and give the restriction to {0, 1, 6}."""
+    with pytest.raises(ValueError, match="restricted points must be integers"):
+        restrict(FANO, points)
+    assert restrict(FANO, [])[0].n == 0
+
+
 @pytest.mark.parametrize("seed", [{-1, 0}, {-1}, {7}, {0, 99}])
 def test_closure_rejects_seed_points_out_of_range(seed):
     """A seed point outside 0..n-1 must not wrap round to n - 1 as a
@@ -450,6 +458,25 @@ def test_negative_point_count_rejected():
         PartialTripleSystem(-3, [])
     with pytest.raises(ValueError):
         TripleSystem.from_triples(-1, [])
+
+
+@pytest.mark.parametrize(
+    "cls,triples",
+    [
+        (TripleSystem, [[0.5, 1.9, 2.2]]),  # would truncate to (0, 1, 2)
+        (TripleSystem, np.array([[0.0, 1.0, 2.0]])),  # whole, but floats
+        (PartialTripleSystem, [["0", "1", "2"]]),  # would parse the strings
+    ],
+    ids=["fractions", "float_array", "strings"],
+)
+def test_non_integer_entries_are_refused(cls, triples):
+    with pytest.raises(ValueError, match="triple entries must be integers"):
+        cls(3, triples)
+
+
+def test_empty_input_of_any_dtype_is_allowed():
+    for empty in ([], np.zeros((0, 3)), np.array([], dtype=str)):
+        assert PartialTripleSystem(5, empty).n_triples == 0
 
 
 # ---------------------------------------------------------------------------

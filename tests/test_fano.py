@@ -388,6 +388,16 @@ def test_classify_rejects_hand_built_seven_sets(slices, violation):
         classify_fano(inp, pts)
 
 
+def test_classify_rejects_seven_slices_off_a_subsystem_of_v():
+    """Over STS(9), seven points (v, 0) lie in seven slices, but their V
+    points {0, ..., 6} are no subsystem of V, so they are no 6-torsion
+    graph."""
+    inp = _inp(1, 13, 9)
+    assert not is_subsystem(inp.v, range(7))
+    with pytest.raises(ClassificationError, match=_NOT_VSF):
+        classify_fano(inp, [inp.u_point(v, 0) for v in range(7)])
+
+
 # ---------------------------------------------------------------------------
 # slices, graphs, recognition
 

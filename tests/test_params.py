@@ -191,6 +191,14 @@ def test_corollary_bounds_and_symbolic_K():
     assert bound == 24 * 7 + 1536 * 7**3 * hi**2
 
 
+def test_n_bound_without_K_takes_the_Mersenne_factor():
+    """Without K, n_bound(1) picks K = 31 by choose_K on the odd sizes next
+    to the Corollary 2.6 bounds."""
+    lo, hi = corollary26_bounds(1)
+    assert choose_K(lo + 1, hi + 1)[1] == 31
+    assert n_bound(1) == n_bound(1, K=31)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from(ADMISSIBLE_DELTAS),

@@ -300,8 +300,13 @@ def test_replace_triples_third_is_consistent():
             replace_triples(boolean_space(6), cyclic_pstss(3).system), 5, 5),
          "need two distinct points"),
         (lambda: corollary46_build(pg_sts(2), TripleSystem(0, [])), "W needs at least one point"),
+        # the switched 7-point space: no third point gives a second closed 7-set
+        (lambda: reconstruct_line(
+            replace_triples(boolean_space(3), PartialTripleSystem(3, [])), 0, 1),
+         "from 1 distinct closed 7-sets"),
     ],
-    ids=["gadget_0", "gadgets_on_no_point", "line_of_one_point", "corollary46_empty_w"],
+    ids=["gadget_0", "gadgets_on_no_point", "line_of_one_point", "corollary46_empty_w",
+         "line_of_the_7_point_space"],
 )
 def test_pstss_input_errors(build, message):
     with pytest.raises(PstssError, match=message):
